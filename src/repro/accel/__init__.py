@@ -4,11 +4,11 @@ The simulation's datapath cost is concentrated in a handful of
 operations: synthesising frame payloads, bulk word<->byte packing,
 CRC-32C folding, splitting FDRI payloads into frames, and the byte
 scan/match loops inside the compression codecs.  This package exposes
-those operations as a small kernel API with two interchangeable
-implementations:
+those operations as a small kernel API with three backends:
 
 * :mod:`repro.accel.pure` — tuned stdlib Python, always available,
-  and the semantic reference;
+  the semantic reference, and the only backend that defines every
+  kernel;
 * :mod:`repro.accel.numpy_backend` — vectorised numpy, used
   automatically when numpy is importable;
 * :mod:`repro.accel.native_backend` — compiled C (cffi) for the
@@ -22,12 +22,15 @@ choice is purely a speed decision and never enters sweep cache keys.
 
 Selection precedence: an explicit :func:`select` (the CLI's
 ``--backend`` flag) wins over the ``REPRO_BACKEND`` environment
-variable, which wins over auto-detection (native if built, else numpy
-if importable, else pure).  Kernel dispatches record
-``accel.<backend>.<kernel>.calls`` /
-``.bytes`` counters in the active :mod:`repro.obs` metrics registry,
-so an observed run shows which backend served it and how much data
-each kernel moved.
+variable, which wins over auto-detection (the first available of
+native, numpy, pure).  One fallback rule fills in the rest: an impl
+backend defines only the kernels it accelerates, and each kernel it
+leaves out comes from the next *available* backend in that same
+order, ending at pure.  :func:`active` returns the resulting kernel
+table.  Kernel dispatches record ``accel.<backend>.<kernel>.calls`` /
+``.bytes`` counters, keyed by the selected backend, in the active
+:mod:`repro.obs` metrics registry, so an observed run shows which
+backend served it and how much data each kernel moved.
 
 numpy itself may only be imported inside this package (lint rule
 A601); everything else goes through the dispatch functions below or
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from types import ModuleType
+from inspect import isfunction
+from types import ModuleType, SimpleNamespace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.accel import pure
@@ -82,9 +86,16 @@ __all__ = [
 
 BACKEND_ENV = "REPRO_BACKEND"
 _BACKEND_NAMES = ("pure", "numpy", "native")
+#: Auto-detection picks the first available name; kernels a backend
+#: does not define come from the available names after it.
+_FALLBACK_ORDER = ("native", "numpy", "pure")
+#: Every kernel name: the public functions of the pure reference.
+_KERNELS = tuple(name for name, value in vars(pure).items()
+                 if isfunction(value) and not name.startswith("_")
+                 and value.__module__ == pure.__name__)
 
 _forced: Optional[str] = None       # select()/CLI override, resolved name
-_active: Optional[ModuleType] = None
+_active: Optional[SimpleNamespace] = None
 _active_name = "pure"
 
 
@@ -144,11 +155,23 @@ def _load(name: str) -> ModuleType:
     )
 
 
-def _resolve() -> ModuleType:
-    """Load and cache the backend chosen by the selection precedence."""
+def _kernel_table(name: str) -> SimpleNamespace:
+    """Kernel table for backend ``name`` under the fallback rule."""
+    available = available_backends()
+    chain = [_load(fallback)
+             for fallback in _FALLBACK_ORDER[_FALLBACK_ORDER.index(name):]
+             if fallback == name or fallback in available]
+    table = SimpleNamespace(name=name)
+    for kernel in _KERNELS:
+        setattr(table, kernel, next(getattr(module, kernel)
+                                    for module in chain
+                                    if hasattr(module, kernel)))
+    return table
+
+
+def _resolve() -> SimpleNamespace:
+    """Build and cache the kernel table the selection precedence picks."""
     global _active, _active_name
-    if _active is not None:
-        return _active
     name = _forced
     if name is None:
         env = os.environ.get(BACKEND_ENV, "").strip()
@@ -160,24 +183,24 @@ def _resolve() -> ModuleType:
                 )
             name = env
     if name is None:
-        if native_available():
-            name = "native"
-        elif numpy_available():
-            name = "numpy"
-        else:
-            name = "pure"
-    module = _load(name)
-    _active = module
+        available = available_backends()
+        name = next(candidate for candidate in _FALLBACK_ORDER
+                    if candidate in available)
+    table = _kernel_table(name)
+    _active = table
     _active_name = name
-    return module
+    return table
 
 
-def active() -> ModuleType:
-    """The resolved backend module (for per-call-site inner loops)."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
-    return backend
+def active() -> SimpleNamespace:
+    """The resolved kernel table (for per-call-site inner loops).
+
+    One attribute per kernel plus ``name``, the selected backend.
+    """
+    table = _active
+    if table is None:
+        table = _resolve()
+    return table
 
 
 def backend_name() -> str:
@@ -217,7 +240,8 @@ def using(name: Optional[str]) -> Iterator[str]:
         _restore(saved)
 
 
-def _restore(saved: Tuple[Optional[str], Optional[ModuleType], str]) -> None:
+def _restore(saved: Tuple[Optional[str], Optional[SimpleNamespace], str]
+             ) -> None:
     global _forced, _active, _active_name
     _forced, _active, _active_name = saved
 
@@ -242,45 +266,35 @@ def record(kernel: str, data_bytes: int, calls: int = 1) -> None:
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC-32C (Castagnoli) over ``data``, chained through ``crc``."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("crc32c", len(data))
     return backend.crc32c(data, crc)
 
 
 def words_to_bytes(words: Sequence[int]) -> bytes:
     """Big-endian 32-bit word serialization."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("words_to_bytes", 4 * len(words))
     return backend.words_to_bytes(words)
 
 
 def bytes_to_words(data: bytes) -> List[int]:
     """Big-endian 32-bit word deserialization."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("bytes_to_words", len(data))
     return backend.bytes_to_words(data)
 
 
 def synthesize_payload(plan: SynthesisPlan) -> bytes:
     """Materialise a :class:`SynthesisPlan` into packed payload bytes."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("synthesize_payload", 4 * plan.total_words)
     return backend.synthesize_payload(plan)
 
 
 def equal_word_runs(data: bytes, word_count: int) -> List[int]:
     """Lengths of maximal equal-word runs (see the pure reference)."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("equal_word_runs", 4 * word_count)
     return backend.equal_word_runs(data, word_count)
 
@@ -288,9 +302,7 @@ def equal_word_runs(data: bytes, word_count: int) -> List[int]:
 def zero_word_runs(data: bytes,
                    word_count: int) -> Tuple[List[int], List[int]]:
     """Starts and lengths of maximal zero-word runs."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("zero_word_runs", 4 * word_count)
     return backend.zero_word_runs(data, word_count)
 
@@ -302,9 +314,7 @@ def match_lengths(data: bytes, candidates: Sequence[int],
     Inner-loop callers should fetch :func:`active` once and call the
     backend directly, recording an aggregate with :func:`record`.
     """
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("match_lengths", limit * len(candidates))
     return backend.match_lengths(data, candidates, position, limit)
 
@@ -312,18 +322,14 @@ def match_lengths(data: bytes, candidates: Sequence[int],
 def chunk_words(block: Sequence[int], offset: int,
                 frame_words: int) -> Tuple[List[List[int]], List[int]]:
     """Split ``block[offset:]`` into full frames plus the tail."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("chunk_words", 4 * max(0, len(block) - offset))
     return backend.chunk_words(block, offset, frame_words)
 
 
 def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
     """MSB-first bit packing of ``(value, width)`` token pairs."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("bitpack", 8 * len(values))
     return backend.bitpack(values, widths)
 
@@ -331,9 +337,7 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
 def xmatch_tokens(data: bytes, word_count: int,
                   capacity: int) -> TokenStream:
     """X-MatchPRO token stream over the word-aligned prefix of ``data``."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("xmatch_tokens", 4 * word_count)
     return backend.xmatch_tokens(data, word_count, capacity)
 
@@ -341,9 +345,7 @@ def xmatch_tokens(data: bytes, word_count: int,
 def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
                 min_match: int, max_chain: int) -> TokenStream:
     """LZSS literal/match token stream over ``data``."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("lz77_tokens", len(data))
     return backend.lz77_tokens(data, window_bits, length_bits,
                                min_match, max_chain)
@@ -352,9 +354,7 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
 def huffman_code_table(frequencies: Sequence[int]
                        ) -> Tuple[List[int], List[int]]:
     """Canonical Huffman ``(codes, lengths)`` from a 256-bin histogram."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("huffman_code_table", 256)
     return backend.huffman_code_table(frequencies)
 
@@ -362,18 +362,14 @@ def huffman_code_table(frequencies: Sequence[int]
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     """Encode ``data`` through a 256-entry code table and bit-pack it."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("huffman_pack", len(data))
     return backend.huffman_pack(data, codes, lengths)
 
 
 def rle_records(data: bytes, word_count: int) -> bytes:
     """Word-RLE record stream (no header) over ``data``."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("rle_records", 4 * word_count)
     return backend.rle_records(data, word_count)
 
@@ -381,9 +377,7 @@ def rle_records(data: bytes, word_count: int) -> bytes:
 def xmatch_decode(body: bytes, output_length: int,
                   capacity: int) -> bytes:
     """Decode an X-MatchPRO token-stream body (see the pure reference)."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("xmatch_decode", output_length)
     return backend.xmatch_decode(body, output_length, capacity)
 
@@ -391,9 +385,7 @@ def xmatch_decode(body: bytes, output_length: int,
 def lz77_decode(body: bytes, output_length: int, window_bits: int,
                 length_bits: int, min_match: int) -> bytes:
     """Decode an LZSS token-stream body."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("lz77_decode", output_length)
     return backend.lz77_decode(body, output_length, window_bits,
                                length_bits, min_match)
@@ -402,17 +394,13 @@ def lz77_decode(body: bytes, output_length: int, window_bits: int,
 def huffman_decode(body: bytes, output_length: int,
                    lengths: bytes) -> bytes:
     """Decode a canonical-Huffman body against a 256-byte length table."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("huffman_decode", output_length)
     return backend.huffman_decode(body, output_length, lengths)
 
 
 def rle_decode(records: bytes, output_length: int) -> bytes:
     """Decode a word-RLE record stream (no header)."""
-    backend = _active
-    if backend is None:
-        backend = _resolve()
+    backend = active()
     record("rle_decode", output_length)
     return backend.rle_decode(records, output_length)

@@ -15,26 +15,24 @@ Importing this module requires the compiled extension
 extra); :func:`repro.accel.native_available` probes for it and the
 selection logic falls back to numpy/pure when it is missing.
 
-Kernels with no sequential carried state (``synthesize_payload``, the
-run scans, ``match_lengths``…) delegate to the numpy backend when
-numpy is importable and to pure otherwise: the native backend never
-*loses* to auto-detection's next-best choice.
+Like every impl backend, this one defines only the kernels it
+accelerates: the ones with sequential carried state.  The kernels
+without it (``synthesize_payload``, the run scans, ``match_lengths``…)
+are left out, so :func:`repro.accel.active` serves them from numpy
+when numpy is importable and from pure otherwise — the native backend
+never *loses* to auto-detection's next-best choice.  Below-crossover
+and guard fallbacks here call pure directly: at those sizes and
+shapes numpy would hand the call to pure too.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.accel import pure
 from repro.accel._native import _uparc_native
-from repro.accel.plan import SynthesisPlan
 from repro.errors import CorruptStreamError
-
-try:
-    from repro.accel import numpy_backend as _vector
-except ImportError:  # pragma: no cover - exercised on no-numpy installs
-    _vector = pure  # type: ignore[assignment]
 
 name = "native"
 
@@ -139,51 +137,6 @@ def crc32c(data: bytes, crc: int = 0) -> int:
                              len(data), crc & 0xFFFFFFFF)
 
 
-# -- kernels without sequential carried state ---------------------------
-# The vector (or pure) forms already are the fastest known shapes;
-# porting them to C would duplicate work for no measured gain.
-
-
-def words_to_bytes(words: Sequence[int]) -> bytes:
-    return _vector.words_to_bytes(words)
-
-
-def bytes_to_words(data: bytes) -> List[int]:
-    return _vector.bytes_to_words(data)
-
-
-def synthesize_payload(plan: SynthesisPlan) -> bytes:
-    return _vector.synthesize_payload(plan)
-
-
-def equal_word_runs(data: bytes, word_count: int) -> List[int]:
-    return _vector.equal_word_runs(data, word_count)
-
-
-def zero_word_runs(data: bytes,
-                   word_count: int) -> Tuple[List[int], List[int]]:
-    return _vector.zero_word_runs(data, word_count)
-
-
-def match_lengths(data: bytes, candidates: Sequence[int],
-                  position: int, limit: int) -> List[int]:
-    return _vector.match_lengths(data, candidates, position, limit)
-
-
-def chunk_words(block: Sequence[int], offset: int,
-                frame_words: int) -> Tuple[List[List[int]], List[int]]:
-    return _vector.chunk_words(block, offset, frame_words)
-
-
-def huffman_code_table(frequencies: Sequence[int]
-                       ) -> Tuple[List[int], List[int]]:
-    return _vector.huffman_code_table(frequencies)
-
-
-def rle_records(data: bytes, word_count: int) -> bytes:
-    return _vector.rle_records(data, word_count)
-
-
 # -- bit packing --------------------------------------------------------
 
 
@@ -219,7 +172,7 @@ def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     if len(data) < _HUFF_PACK_MIN_BYTES or max(lengths) > 64:
-        return _vector.huffman_pack(data, codes, lengths)
+        return pure.huffman_pack(data, codes, lengths)
     out = ffi.new("uint8_t[]", 8 * len(data) + 1)
     written = _lib.uparc_huffman_pack(
         ffi.from_buffer("uint8_t[]", data), len(data),
@@ -234,7 +187,7 @@ def huffman_pack(data: bytes, codes: Sequence[int],
 def xmatch_tokens(data: bytes, word_count: int,
                   capacity: int) -> "pure.TokenStream":
     if word_count < _XMATCH_MIN_WORDS or not 2 <= capacity <= 64:
-        return _vector.xmatch_tokens(data, word_count, capacity)
+        return pure.xmatch_tokens(data, word_count, capacity)
     values = ffi.new("uint64_t[]", word_count + 8)
     widths = ffi.new("uint8_t[]", word_count + 8)
     count = _lib.uparc_xmatch_tokens(
@@ -250,8 +203,8 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
     # (match token past 64 bits) only exist in property tests.
     if (length < _LZ77_MIN_BYTES or min_match > 8 or min_match < 1
             or window_bits + length_bits + 1 > 64):
-        return _vector.lz77_tokens(data, window_bits, length_bits,
-                                   min_match, max_chain)
+        return pure.lz77_tokens(data, window_bits, length_bits,
+                                min_match, max_chain)
     values = ffi.new("uint64_t[]", length + 1)
     widths = ffi.new("uint8_t[]", length + 1)
     head = ffi.new("int32_t[]", 1 << 15)

@@ -2,10 +2,12 @@
 
 Byte-identical to :mod:`repro.accel.pure` by construction — both
 backends compute the same functions; this one replaces Python-level
-loops with array ops.  Each kernel keeps an internal size threshold
-below which it delegates to the pure implementation: numpy's per-call
-overhead makes it *slower* than the tuned stdlib forms on small
-inputs, and delegating is output-identical so the switch is invisible.
+loops with array ops.  It defines only the kernels it accelerates;
+:func:`repro.accel.active` serves every other kernel from pure.  Each
+kernel here keeps an internal size threshold below which it calls the
+pure implementation: numpy's per-call overhead makes it *slower* than
+the tuned stdlib forms on small inputs, and the pure form is
+output-identical so the switch is invisible.
 
 Kernel notes:
 
@@ -23,13 +25,27 @@ Kernel notes:
   frame references by peeling chains on the copy-owned subset: each
   pass steps every still-unresolved source back one frame, and the
   working set shrinks as chains bottom out on filled words.
-* ``words_to_bytes`` and ``chunk_words`` intentionally delegate to
-  the pure backend: both take a Python ``list`` of ints, and
-  converting it into an ndarray costs more than the vector op saves
-  at every measured size, so the stdlib forms are the honest winners.
-* ``match_lengths`` also delegates permanently: the pure form's
-  early-limit break usually ends the scan at the first candidate,
-  while the vector form pays for the full candidate matrix up front.
+* ``xmatch_tokens`` keeps the sequential move-to-front scan shared
+  with pure; from 64 words up it adds a vector zero-run pre-scan and
+  a bulk word decode in front of it.
+
+Kernels left out, so dispatch serves them from pure:
+
+* ``words_to_bytes`` and ``chunk_words`` take a Python ``list`` of
+  ints, and converting it into an ndarray costs more than the vector
+  op saves.
+* ``match_lengths``: the pure form's early-limit break ends the scan
+  at the first candidate reaching ``limit``, which on the LZ chain
+  walk's same-prefix candidate lists is usually the *first* one; the
+  vector form pays for the full candidates x limit matrix up front
+  (0.07-0.16x on chain-shaped inputs, ~1.08x at best on
+  adversarially break-free ones).
+* ``huffman_code_table`` runs at most 255 heap merges over a 256-bin
+  histogram; the sequential heap dominates.
+* The four bit-serial decoders: every token's position depends on
+  every previous token (carried bit cursor, move-to-front
+  dictionary, the growing output window), so there is no vector
+  formulation — these loops are what the native backend exists for.
 
 numpy may only be imported inside ``repro.accel`` (lint rule A601);
 every other module reaches these kernels through the dispatch
@@ -136,12 +152,6 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     return int(acc[0]) ^ 0xFFFFFFFF
 
 
-def words_to_bytes(words: Sequence[int]) -> bytes:
-    # struct.pack beats list->ndarray conversion at every size tried;
-    # see the module docstring.
-    return pure.words_to_bytes(words)
-
-
 def bytes_to_words(data: bytes) -> List[int]:
     if len(data) < 1024:
         return pure.bytes_to_words(data)
@@ -199,29 +209,17 @@ def zero_word_runs(data: bytes,
     return starts.tolist(), (edges[1::2] - starts).tolist()
 
 
-def match_lengths(data: bytes, candidates: Sequence[int],
-                  position: int, limit: int) -> List[int]:
-    # Permanent delegate: the pure form's early-limit break ends the
-    # scan at the first candidate reaching ``limit``, which on the LZ
-    # chain walk's same-prefix candidate lists is usually the *first*
-    # candidate — the vector form always materialises the full
-    # candidates x limit matrix and loses at every measured size
-    # (0.07-0.16x on chain-shaped inputs, ~1.08x at best on
-    # adversarially break-free ones).
-    return pure.match_lengths(data, candidates, position, limit)
-
-
-def chunk_words(block: Sequence[int], offset: int,
-                frame_words: int) -> Tuple[List[List[int]], List[int]]:
-    # List->ndarray conversion dominates; see the module docstring.
-    return pure.chunk_words(block, offset, frame_words)
-
-
 def bitpack(values: Sequence[int], widths: Sequence[int]) -> bytes:
     if len(values) < _BITPACK_MIN_TOKENS:
         return pure.bitpack(values, widths)
-    return _bitpack_arrays(np.asarray(values, dtype=np.uint64),
-                           np.asarray(widths, dtype=np.uint8))
+    try:
+        value_array = np.asarray(values, dtype=np.uint64)
+        width_array = np.asarray(widths, dtype=np.uint8)
+    except OverflowError:
+        # Values beyond 64 bits: only the bigint pure form packs them
+        # (no kernel emits such tokens; property tests do).
+        return pure.bitpack(values, widths)
+    return _bitpack_arrays(value_array, width_array)
 
 
 def _bitpack_arrays(values: "np.ndarray",
@@ -367,22 +365,18 @@ def lz77_tokens(data: bytes, window_bits: int, length_bits: int,
     return values, widths
 
 
-def huffman_code_table(frequencies: Sequence[int]
-                       ) -> Tuple[List[int], List[int]]:
-    # At most 255 heap merges over a 256-bin histogram: the sequential
-    # heap dominates and list<->ndarray conversion would only add to
-    # it, so the pure form is the honest winner at every size.
-    return pure.huffman_code_table(frequencies)
-
-
 def huffman_pack(data: bytes, codes: Sequence[int],
                  lengths: Sequence[int]) -> bytes:
     if len(data) < _HUFF_MIN_BYTES:
         return pure.huffman_pack(data, codes, lengths)
+    try:
+        code_array = np.asarray(codes, dtype=np.uint64)
+        length_array = np.asarray(lengths, dtype=np.uint8)
+    except OverflowError:
+        # Codes past 64 bits (degenerate, near-Fibonacci histograms).
+        return pure.huffman_pack(data, codes, lengths)
     raw = np.frombuffer(data, dtype=np.uint8)
-    values = np.asarray(codes, dtype=np.uint64)[raw]
-    widths = np.asarray(lengths, dtype=np.uint8)[raw]
-    return _bitpack_arrays(values, widths)
+    return _bitpack_arrays(code_array[raw], length_array[raw])
 
 
 def rle_records(data: bytes, word_count: int) -> bytes:
@@ -391,30 +385,3 @@ def rle_records(data: bytes, word_count: int) -> bytes:
     # Vectorised run scan; the record emission is a short per-run loop
     # shared with the pure reference.
     return pure._rle_emit(data, equal_word_runs(data, word_count))
-
-
-# The four bit-serial decoders delegate to the pure reference
-# permanently: every token's position in the stream depends on every
-# previous token (carried bit cursor, move-to-front dictionary, the
-# growing output window), so there is no vector formulation — these
-# loops are what the native backend exists for.
-
-
-def xmatch_decode(body: bytes, output_length: int,
-                  capacity: int) -> bytes:
-    return pure.xmatch_decode(body, output_length, capacity)
-
-
-def lz77_decode(body: bytes, output_length: int, window_bits: int,
-                length_bits: int, min_match: int) -> bytes:
-    return pure.lz77_decode(body, output_length, window_bits,
-                            length_bits, min_match)
-
-
-def huffman_decode(body: bytes, output_length: int,
-                   lengths: bytes) -> bytes:
-    return pure.huffman_decode(body, output_length, lengths)
-
-
-def rle_decode(records: bytes, output_length: int) -> bytes:
-    return pure.rle_decode(records, output_length)

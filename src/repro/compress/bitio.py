@@ -8,7 +8,6 @@ end-of-stream symbol or a length header.
 
 from __future__ import annotations
 
-from repro import accel
 from repro.errors import CorruptStreamError
 
 
@@ -57,20 +56,6 @@ class BitWriter:
             return
         for byte in data:
             self.write_bits(byte, 8)
-
-    def write_tokens(self, values, widths) -> None:
-        """Write a whole ``(values, widths)`` token stream at once.
-
-        Accepts the typed-array pairs the accel token kernels return
-        (or any parallel sequences) and folds them through a single
-        bulk :meth:`write_bits` call instead of one call per token.
-        """
-        total = sum(widths)
-        if not total:
-            return
-        packed = accel.bitpack(values, widths)
-        value = int.from_bytes(packed, "big") >> (len(packed) * 8 - total)
-        self.write_bits(value, total)
 
     @property
     def bit_length(self) -> int:

@@ -1,13 +1,14 @@
 """B-rules: accel backend-contract conformance.
 
 The datapath backend contract (``repro.accel``) is: ``pure.py`` is
-the semantic reference, ``numpy_backend.py`` mirrors every public
-kernel signature byte-for-byte, the package ``__init__`` exposes one
-dispatch function per kernel that records observability counters, and
-*nobody else* imports a backend module directly — backend selection
-must stay behind ``select()``/``active()`` or the golden-digest
-equivalence guarantee silently stops covering the code that bypassed
-it.
+the semantic reference and defines every kernel, each implementation
+backend defines a subset of them with signatures identical to pure's
+(the dispatch layer fills the rest in from the next backend), the
+package ``__init__`` exposes one dispatch function per kernel that
+records observability counters, and *nobody else* imports a backend
+module directly — backend selection must stay behind
+``select()``/``active()`` or the golden-digest equivalence guarantee
+silently stops covering the code that bypassed it.
 
 These rules verify the contract structurally, and generically: any
 package that contains both a ``pure`` and a ``numpy_backend``
@@ -28,7 +29,8 @@ from repro.lint.summaries import FunctionSummary, ModuleSummary
 
 #: The semantic-reference submodule every backend package must have.
 PURE = "pure"
-#: Registered implementation submodules that mirror the reference.
+#: Registered implementation submodules; each defines a subset of the
+#: reference kernels.
 #: ``native_backend`` is the ROADMAP phase-3 native backend — listed
 #: now so its package is held to the contract from its first commit.
 NUMPY = "numpy_backend"
@@ -114,55 +116,38 @@ class BackendSignatureDrift(_BackendChecker):
     rule_id = "B801"
     rule_name = "backend-signature-drift"
     rationale = (
-        "Every implementation backend must mirror every public pure "
-        "kernel with an identical signature; drift means the dispatch "
-        "layer calls the backends differently and the byte-identity "
-        "equivalence suite no longer tests what production runs."
+        "Every public function of an implementation backend must have "
+        "a pure reference with an identical signature; drift means "
+        "the dispatch layer calls the backends differently and the "
+        "byte-identity equivalence suite no longer tests what "
+        "production runs."
     )
 
     def visit_Module(self, node: ast.Module) -> None:
         role, pkg = self._role()
-        if role == PURE:
-            self._check_pure_side(node, pkg)
-        elif role in IMPL_BACKENDS:
-            self._check_impl_side(node, pkg)
-
-    def _check_pure_side(self, tree: ast.Module, pkg: str) -> None:
-        impl_mods = [self._sibling(pkg, impl) for impl in IMPL_BACKENDS
-                     if f"{pkg}.{impl}" in self.index.modules]
-        for definition in self._top_level_functions(tree):
+        if role not in IMPL_BACKENDS:
+            return
+        references = {kernel.name: kernel for kernel
+                      in public_kernels(self._sibling(pkg, PURE))}
+        for definition in self._top_level_functions(node):
             if definition.name.startswith("_"):
                 continue
-            reference = self.module.functions.get(
-                f"{self.module.module}.{definition.name}")
+            reference = references.get(definition.name)
             if reference is None:
-                continue
-            for impl_mod in impl_mods:
-                counterpart = impl_mod.functions.get(
-                    f"{impl_mod.module}.{definition.name}")
-                if counterpart is None:
-                    self.report(definition, (
-                        f"kernel '{definition.name}' has no counterpart "
-                        f"in {impl_mod.module}; the backends have "
-                        f"drifted apart"))
-                elif _param_names(counterpart) != _param_names(reference):
-                    self.report(definition, (
-                        f"kernel '{definition.name}' signature drift: "
-                        f"pure reference takes {_param_names(reference)} "
-                        f"but {impl_mod.module} takes "
-                        f"{_param_names(counterpart)}"))
-
-    def _check_impl_side(self, tree: ast.Module, pkg: str) -> None:
-        pure_mod = self._sibling(pkg, PURE)
-        pure_names = {k.name for k in public_kernels(pure_mod)}
-        for definition in self._top_level_functions(tree):
-            if definition.name.startswith("_"):
-                continue
-            if definition.name not in pure_names:
                 self.report(definition, (
                     f"backend function '{definition.name}' has no pure "
                     f"reference in {pkg}.{PURE}; every public kernel "
                     f"needs a semantic reference implementation"))
+                continue
+            implementation = self.module.functions.get(
+                f"{self.module.module}.{definition.name}")
+            if implementation is not None and \
+                    _param_names(implementation) != _param_names(reference):
+                self.report(definition, (
+                    f"kernel '{definition.name}' signature drift: "
+                    f"pure reference takes {_param_names(reference)} "
+                    f"but {self.module.module} takes "
+                    f"{_param_names(implementation)}"))
 
 
 @register

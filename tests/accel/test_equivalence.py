@@ -2,12 +2,14 @@
 
 The pure backend is the semantic reference; these property tests pin
 every other *available* backend (numpy, and native when the compiled
-extension is built) to it bit-for-bit on randomised inputs.  Impl
-kernels delegate to pure below their size crossovers, so the fixture
-zeroes every threshold — each case exercises the accelerated code even
-on hypothesis-sized payloads.  Backends that are not installed are
-skipped per-parameter, so the suite degrades cleanly on a base
-install.
+extension is built) to it bit-for-bit on randomised inputs.  Each case
+runs the backend's kernel table, so every kernel a backend defines is
+tested, and a kernel it leaves out runs the next available backend's
+form.  Impl kernels delegate to pure below their size crossovers, so
+the fixture zeroes every threshold — each case exercises the
+accelerated code even on hypothesis-sized payloads.  Backends that
+are not installed are skipped per-parameter, so the suite degrades
+cleanly on a base install.
 """
 
 # The equivalence suite is the one place that must reach the backend
@@ -15,6 +17,7 @@ install.
 # repro-lint: disable=B804
 
 import hashlib
+import importlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -38,19 +41,25 @@ def _impl_backends():
 
 @pytest.fixture(autouse=True, params=["numpy", "native"])
 def vectorised(request, monkeypatch):
-    """One impl backend per param, every delegation threshold removed."""
+    """One impl backend's kernel table per param, thresholds removed.
+
+    The table is what dispatch runs: the backend's own kernels, and
+    the next available backend's for the kernels it leaves out.  The
+    delegation thresholds are zeroed in every impl module, so the
+    kernels the chain takes from numpy run their vector path too.
+    """
     name = request.param
-    if name not in _impl_backends():
+    available = _impl_backends()
+    if name not in available:
         pytest.skip(f"{name} backend not installed")
-    if name == "numpy":
-        from repro.accel import numpy_backend as backend
-    else:
-        from repro.accel import native_backend as backend
-    for attribute in dir(backend):
-        if attribute.startswith("_") and "_MIN_" in attribute \
-                and isinstance(getattr(backend, attribute), int):
-            monkeypatch.setattr(backend, attribute, 0)
-    return backend
+    for impl in available:
+        module = importlib.import_module(f"repro.accel.{impl}_backend")
+        for attribute in dir(module):
+            if attribute.startswith("_") and "_MIN_" in attribute \
+                    and isinstance(getattr(module, attribute), int):
+                monkeypatch.setattr(module, attribute, 0)
+    with accel.using(name):
+        yield accel.active()
 
 
 # function_scoped_fixture is deliberate: the thresholds stay patched
@@ -202,6 +211,10 @@ def test_bitpack_boundaries(vectorised):
     widths = [1, 58, 7, 2]
     assert vectorised.bitpack(values, widths) == pure.bitpack(values,
                                                               widths)
+    # Tokens past 64 bits only fit the bigint pure form.
+    wide = vectorised.bitpack([1 << 70] * 64, [71] * 64)
+    assert len(wide) == 568
+    assert wide == pure.bitpack([1 << 70] * 64, [71] * 64)
 
 
 @quick
@@ -271,6 +284,15 @@ def test_huffman_pack_boundaries(vectorised):
         codes, lengths = pure.huffman_code_table(histogram)
         assert vectorised.huffman_pack(data, codes, lengths) == \
             pure.huffman_pack(data, codes, lengths)
+    # A Fibonacci histogram gives codes up to 255 bits long, past
+    # every fixed-width accumulator.
+    fibonacci = [1, 1]
+    while len(fibonacci) < 256:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    codes, lengths = pure.huffman_code_table(fibonacci)
+    data = bytes(range(256)) * 8
+    assert vectorised.huffman_pack(data, codes, lengths) == \
+        pure.huffman_pack(data, codes, lengths)
 
 
 @quick

@@ -19,4 +19,5 @@ def turbo_kernel(x):
     return x
 
 
-# B801 (at the pure def): stream_decode has no native counterpart.
+# stream_decode is left out on purpose: an impl backend may define a
+# strict subset of the pure kernels.

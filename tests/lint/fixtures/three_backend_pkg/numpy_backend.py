@@ -1,5 +1,8 @@
-"""Clean vectorised backend: mirrors every pure signature exactly.
+"""Clean vectorised backend: a strict subset of the pure kernels.
 
+Shaped like the real numpy backend: it defines only the kernels it
+accelerates, each with the pure signature exactly, and leaves the
+rest (``pack_words``, ``stream_decode``) to the pure reference.
 Present so the fixture has the real package shape (pure + numpy +
 native) and so the tests prove B801 judges each implementation
 independently — all the seeded drift lives in ``native_backend``.
@@ -8,17 +11,11 @@ independently — all the seeded drift lives in ``native_backend``.
 from three_backend_pkg import pure
 
 
-def pack_words(words):
-    return pure.pack_words(words)
-
-
 def crc_fold(data, crc=0):
-    return pure.crc_fold(data, crc)
+    if len(data) < 64:
+        return pure.crc_fold(data, crc)
+    return crc ^ len(data)
 
 
 def scan_runs(data, count):
-    return pure.scan_runs(data, count)
-
-
-def stream_decode(body, output_length):
-    return pure.stream_decode(body, output_length)
+    return [count] * len(data)

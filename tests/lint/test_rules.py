@@ -45,7 +45,7 @@ PROJECT_RULE_CASES = [
     (("race_pkg",), "R702", 1),
     (("race_pkg",), "R703", 1),
     (("race_pkg",), "R704", 1),
-    (("accel_drift_pkg",), "B801", 3),
+    (("accel_drift_pkg",), "B801", 2),
     (("accel_drift_pkg",), "B802", 1),
     (("accel_drift_pkg",), "B803", 1),
     (("accel_drift_pkg", "b804_consumer.py"), "B804", 2),
