@@ -37,6 +37,18 @@ class Opcode(enum.IntEnum):
     WRITE = 2
 
 
+def opcode_of(header: int) -> Opcode:
+    """The opcode field (bits 28:27) of a packet header word.
+
+    Code 3 is reserved; a header carrying it is a malformed stream.
+    """
+    code = (header >> 27) & 0b11
+    if code == 0b11:
+        raise BitstreamFormatError(
+            f"reserved opcode 3 in packet header {header:#010x}")
+    return Opcode(code)
+
+
 class ConfigRegister(enum.IntEnum):
     """Virtex-5 configuration register addresses (UG191 table 6-5)."""
 
@@ -169,7 +181,7 @@ class PacketDecoder:
     def decode_one(self) -> ConfigPacket:
         header = self._take("packet header")
         ptype = header >> 29
-        opcode = Opcode((header >> 27) & 0b11)
+        opcode = opcode_of(header)
         if ptype == 0b001:
             register = self._register_of(header)
             count = header & _TYPE1_MAX_WORDS

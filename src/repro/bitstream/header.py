@@ -68,7 +68,11 @@ class BitstreamHeader:
             if len(blob) != length:
                 raise BitstreamFormatError("truncated field payload")
             offset += length
-            fields[expected] = blob.rstrip(b"\x00").decode("ascii")
+            try:
+                fields[expected] = blob.rstrip(b"\x00").decode("ascii")
+            except UnicodeDecodeError:
+                raise BitstreamFormatError(
+                    f"field {expected!r} is not ASCII") from None
         if data[offset:offset + 1] != b"e":
             raise BitstreamFormatError("missing length field 'e'")
         offset += 1

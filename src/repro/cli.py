@@ -320,17 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a library error is a one-line usage error.
+
+    Any :class:`~repro.errors.ReproError` that escapes a command (bad
+    arguments the parser cannot see, such as ``--boards 0``, or bad
+    input files) prints ``repro: error: <message>`` and exits 2, not a
+    traceback.
+    """
     args = build_parser().parse_args(argv)
+    from repro.errors import ReproError
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     # Resolve the datapath backend up front (also validates a bad
     # REPRO_BACKEND value) so selection errors are usage errors, not
     # tracebacks from the first kernel call mid-run.
     from repro import accel
-    from repro.errors import AccelError
-    try:
-        accel.select(getattr(args, "backend", None))
-    except AccelError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    accel.select(getattr(args, "backend", None))
     if args.command == "all":
         for index, (name, command) in enumerate(_COMMANDS.items()):
             if index:

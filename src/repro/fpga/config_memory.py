@@ -26,6 +26,7 @@ from repro.bitstream.format import (
     ConfigRegister,
     Opcode,
     SYNC_WORD,
+    opcode_of,
 )
 from repro.bitstream.frames import FrameAddress
 from repro.errors import BitstreamFormatError, DeviceMismatchError
@@ -180,7 +181,7 @@ class ConfigurationLogic:
     def _header_word(self, word: int) -> None:
         packet_type = word >> 29
         if packet_type == 0b001:
-            self._opcode = Opcode((word >> 27) & 0b11)
+            self._opcode = opcode_of(word)
             address = (word >> 13) & 0x3FFF
             try:
                 self._register = ConfigRegister(address)
@@ -195,7 +196,7 @@ class ConfigurationLogic:
                 raise BitstreamFormatError(
                     "type-2 packet without preceding type-1"
                 )
-            self._opcode = Opcode((word >> 27) & 0b11)
+            self._opcode = opcode_of(word)
             self._remaining = word & _TYPE2_COUNT_MASK
             self._begin_payload()
         else:

@@ -14,6 +14,12 @@ deterministic: ties cannot occur (``sort_key`` ends in the unique
 request id) and global-bound victims are compared by
 ``(sort_key, tenant name)``.
 
+Next to the tenant queues sits a second index over the same entries:
+one sorted list per catalog module.  Dispatch reads a queue's head,
+eviction its tail, and batch matching a module's most urgent prefix,
+so sorted lists serve all three ends; removal is a ``bisect`` on the
+unique sort key, never a scan.
+
 Backpressure is explicit: :attr:`AdmissionController.backpressure`
 reports when total depth crosses the high-water mark (80% of the
 global bound), and the service mirrors it into the
@@ -23,7 +29,7 @@ before sheds start.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
@@ -48,6 +54,9 @@ class AdmissionController:
         self._spec = spec
         self._queues: Dict[str, List[_Entry]] = {
             tenant.name: [] for tenant in spec.tenants}
+        #: The same entries indexed by module, for batch matching.
+        self._by_module: Dict[str, List[_Entry]] = {
+            name: [] for name in spec.module_names}
         #: Tenant names in deterministic iteration order.
         self.tenant_names: Tuple[str, ...] = tuple(sorted(self._queues))
         self._depth = 0
@@ -90,12 +99,18 @@ class AdmissionController:
         if request.tenant not in self._queues:
             raise ServeError(f"request {request.request_id}: unknown "
                              f"tenant {request.tenant!r}")
+        module_queue = self._by_module.get(request.module)
+        if module_queue is None:
+            raise ServeError(f"request {request.request_id}: unknown "
+                             f"module {request.module!r}")
         if self._spec.shed_infeasible \
                 and now_ps + cold_service_ps > request.deadline_ps:
             return [(request, SHED_INFEASIBLE)]
         shed: List[Tuple[RequestSpec, str]] = []
         queue = self._queues[request.tenant]
-        insort(queue, (request.sort_key, request))
+        entry = (request.sort_key, request)
+        insort(queue, entry)
+        insort(module_queue, entry)
         self._depth += 1
         if len(queue) > self._spec.tenant_limit:
             shed.append((self._evict(request.tenant), SHED_QUEUE_FULL))
@@ -105,8 +120,10 @@ class AdmissionController:
 
     def _evict(self, tenant: str) -> RequestSpec:
         """Drop and return the tenant's worst queued request."""
+        entry = self._queues[tenant].pop()
+        _remove(self._by_module[entry[1].module], entry)
         self._depth -= 1
-        return self._queues[tenant].pop()[1]
+        return entry[1]
 
     def _evict_global(self) -> RequestSpec:
         """Drop the globally worst request, ties broken by tenant."""
@@ -128,29 +145,34 @@ class AdmissionController:
 
     def take(self, request: RequestSpec) -> None:
         """Remove a specific queued request (it is being dispatched)."""
-        queue = self._queues[request.tenant]
         entry = (request.sort_key, request)
-        for index, candidate in enumerate(queue):
-            if candidate == entry:
-                del queue[index]
-                self._depth -= 1
-                return
-        raise ServeError(f"request {request.request_id} is not queued")
+        queue = self._queues.get(request.tenant)
+        if queue is None or not _remove(queue, entry):
+            raise ServeError(f"request {request.request_id} is not queued")
+        _remove(self._by_module[request.module], entry)
+        self._depth -= 1
 
     def match(self, module: str, limit: int,
               exclude_id: int) -> List[RequestSpec]:
-        """Queued requests for ``module``, most urgent first.
+        """Up to ``limit`` queued ``module`` requests, most urgent first.
 
-        Scans every tenant queue (they are sorted, so per-tenant order
-        is already dispatch order) and merges by ``sort_key``; used by
-        the scheduler to coalesce a batch.  ``exclude_id`` skips the
-        request that seeded the batch.
+        Reads the head of the module's index (already in ``sort_key``
+        order across tenants); used by the scheduler to coalesce a
+        batch.  ``exclude_id`` skips the request that seeded the batch.
         """
-        found: List[RequestSpec] = []
-        for tenant in self.tenant_names:
-            for _, request in self._queues[tenant]:
-                if request.module == module \
-                        and request.request_id != exclude_id:
-                    found.append(request)
-        found.sort(key=lambda request: request.sort_key)
-        return found[:limit]
+        head = self._by_module.get(module, [])[:limit + 1]
+        return [request for _, request in head
+                if request.request_id != exclude_id][:limit]
+
+
+def _remove(queue: List[_Entry], entry: _Entry) -> bool:
+    """Delete ``entry`` from a sorted queue; False if it is absent.
+
+    Sort keys are unique, so the only candidate sits where the key
+    bisects (a 1-tuple sorts before every entry that extends it).
+    """
+    index = bisect_left(queue, (entry[0],))
+    if index < len(queue) and queue[index] == entry:
+        del queue[index]
+        return True
+    return False

@@ -23,7 +23,9 @@ The structure that achieves it:
   those callbacks in.  Items stamped ``T`` wait for the pass at
   ``T + 1`` that their own callback requested.
 * Mailboxes are drained in sorted order (arrival time; then
-  ``(finish, board)``), never in append order.
+  ``(finish, board)``), never in append order.  Callbacks append at
+  the current sim time, so each mailbox is nondecreasing in its stamp
+  and the items a pass consumes are a prefix, cut off in place.
 * Preemption never cancels events: the board's ``service_generation``
   is bumped, and the stale completion is discarded when drained.
 
@@ -34,11 +36,13 @@ same pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import current_registry
+from repro.obs.metrics import Counter
 from repro.obs.tracing import TraceScope
 from repro.serve.admission import AdmissionController
 from repro.serve.fleet import ServiceTimeTable, build_fleet
@@ -143,6 +147,12 @@ class FleetService:
         self._sheds: List[ShedRecord] = []
         self._preemptions = 0
         self._stale = 0
+        # Per-pass instruments, bound when the first pass can run;
+        # name-formatted ones are bound on first use, so an instrument
+        # that is never hit is never created.
+        self._passes = self._depth_gauge = self._backpressure = None
+        self._shed_counters: Dict[str, Tuple[Counter, Counter]] = {}
+        self._board_counters: Dict[int, Counter] = {}
 
     @property
     def sim(self) -> Simulator:
@@ -159,6 +169,11 @@ class FleetService:
         arrivals = [(request.arrival_ps, partial(self._arrive, request))
                     for request in requests]
         self._sim.schedule_batch(arrivals)
+        if arrivals:  # an empty stream runs no pass and counts none
+            self._passes = self._metrics.counter("serve.passes")
+            self._depth_gauge = self._metrics.gauge("serve.queue.depth")
+            self._backpressure = self._metrics.gauge(
+                "serve.queue.backpressure")
         end_ps = self._sim.run()
         self._completions.sort(
             key=lambda record: (record.finish_ps,
@@ -202,23 +217,22 @@ class FleetService:
     def _pass(self) -> None:
         now = self._sim.now
         self._scheduled_passes.discard(now)
-        self._metrics.counter("serve.passes").inc()
+        self._passes.inc()
         self._drain_completions(now)
         self._admit_due(now)
         if self._spec.preempt:
             self._preempt_urgent(now)
         self._dispatch(now)
-        self._metrics.gauge("serve.queue.depth").high_water(
-            self._admission.depth)
-        self._metrics.gauge("serve.queue.backpressure").set(
-            1 if self._admission.backpressure else 0)
+        self._depth_gauge.high_water(self._admission.depth)
+        self._backpressure.set(1 if self._admission.backpressure else 0)
 
     def _drain_completions(self, now: int) -> None:
-        ready = [entry for entry in self._done_inbox if entry[0] < now]
-        if not ready:
+        inbox = self._done_inbox
+        cut = bisect_left(inbox, (now,))
+        if not cut:
             return
-        self._done_inbox = [entry for entry in self._done_inbox
-                            if entry[0] >= now]
+        ready = inbox[:cut]
+        del inbox[:cut]
         latency = self._metrics.histogram("serve.latency_us",
                                           bounds=LATENCY_BUCKETS_US)
         for finish_ps, board_id, generation in sorted(ready):
@@ -246,12 +260,16 @@ class FleetService:
                     self._metrics.counter("serve.deadline.missed").inc()
 
     def _admit_due(self, now: int) -> None:
-        due = [request for request in self._inbox
-               if request.arrival_ps < now]
-        if not due:
+        inbox = self._inbox
+        cut = 0
+        for request in inbox:
+            if request.arrival_ps >= now:
+                break
+            cut += 1
+        if not cut:
             return
-        self._inbox = [request for request in self._inbox
-                       if request.arrival_ps >= now]
+        due = inbox[:cut]
+        del inbox[:cut]
         due.sort(key=lambda request: request.arrival_ps)
         offered = self._metrics.counter("serve.requests.offered")
         for request in due:
@@ -262,8 +280,13 @@ class FleetService:
         cold = self._table.service_ps(request.module, warm=False)
         for victim, reason in self._admission.offer(request, now, cold):
             self._sheds.append(ShedRecord(victim, reason, now))
-            self._metrics.counter("serve.requests.shed").inc()
-            self._metrics.counter(f"serve.requests.shed.{reason}").inc()
+            counters = self._shed_counters.get(reason)
+            if counters is None:
+                counters = self._shed_counters[reason] = (
+                    self._metrics.counter("serve.requests.shed"),
+                    self._metrics.counter(f"serve.requests.shed.{reason}"))
+            for counter in counters:
+                counter.inc()
 
     def _preempt_urgent(self, now: int) -> None:
         """Preempt a background board for a deadline-critical request.
@@ -337,8 +360,12 @@ class FleetService:
             self._metrics.counter(
                 "serve.dispatch.warm" if warm
                 else "serve.dispatch.cold").inc()
-            self._metrics.counter(
-                f"serve.board.{board.board_id}.dispatches").inc()
+            dispatches = self._board_counters.get(board.board_id)
+            if dispatches is None:
+                dispatches = self._board_counters[board.board_id] = \
+                    self._metrics.counter(
+                        f"serve.board.{board.board_id}.dispatches")
+            dispatches.inc()
             self._metrics.gauge("serve.inflight").high_water(
                 len(self._busy))
             track = self._tracks.get(board.board_id)

@@ -117,12 +117,28 @@ def build_report(outcome: ServeOutcome) -> SLOReport:
     requests = len(outcome.requests)
     completed = len(completions)
     shed = len(outcome.sheds)
-    missed = sum(1 for record in completions if record.missed)
-    warm = sum(1 for record in completions if record.warm)
+    # One pass over each record list, grouping by tenant as it goes.
+    tenant_latencies: Dict[str, List[int]] = {}
+    tenant_missed: Dict[str, int] = {}
+    tenant_shed: Dict[str, int] = {}
+    latencies: List[int] = []
+    missed = warm = 0
+    for record in completions:
+        tenant = record.request.tenant
+        latency = record.latency_ps
+        latencies.append(latency)
+        tenant_latencies.setdefault(tenant, []).append(latency)
+        if record.missed:
+            missed += 1
+            tenant_missed[tenant] = tenant_missed.get(tenant, 0) + 1
+        if record.warm:
+            warm += 1
     shed_by_reason: Dict[str, int] = {}
     for record in outcome.sheds:
         shed_by_reason[record.reason] = \
             shed_by_reason.get(record.reason, 0) + 1
+        tenant = record.request.tenant
+        tenant_shed[tenant] = tenant_shed.get(tenant, 0) + 1
     # A batch of size k appears as k completion records that share a
     # (finish, board) slot; count distinct slots.
     batches = len({(record.finish_ps, record.board_id)
@@ -135,21 +151,14 @@ def build_report(outcome: ServeOutcome) -> SLOReport:
                if makespan_s > 0 else 0.0)
 
     tenants: Dict[str, Dict[str, Any]] = {}
-    by_tenant: Dict[str, List[int]] = {}
-    for record in completions:
-        by_tenant.setdefault(record.request.tenant, []).append(
-            record.latency_ps)
     for spec in outcome.spec.tenants:
         name = spec.name
-        latencies = sorted(by_tenant.get(name, []))
+        ordered = sorted(tenant_latencies.get(name, []))
         tenants[name] = {
-            "completed": len(latencies),
-            "shed": sum(1 for record in outcome.sheds
-                        if record.request.tenant == name),
-            "deadline_missed": sum(
-                1 for record in completions
-                if record.request.tenant == name and record.missed),
-            "p95_us": _us(percentile(latencies, 95)),
+            "completed": len(ordered),
+            "shed": tenant_shed.get(name, 0),
+            "deadline_missed": tenant_missed.get(name, 0),
+            "p95_us": _us(percentile(ordered, 95)),
         }
 
     return SLOReport(
@@ -170,7 +179,6 @@ def build_report(outcome: ServeOutcome) -> SLOReport:
         deadline_miss_pct=(100.0 * missed / completed
                            if completed else 0.0),
         shed_pct=100.0 * shed / requests if requests else 0.0,
-        latency_us=_latency_block(
-            [record.latency_ps for record in completions]),
+        latency_us=_latency_block(latencies),
         tenants=tenants,
     )

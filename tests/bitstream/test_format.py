@@ -87,6 +87,13 @@ def test_unknown_packet_type_rejected():
         PacketDecoder([0b101 << 29]).decode_all()
 
 
+def test_reserved_opcode_rejected():
+    # Opcode 3 is reserved: a typed format error, not a bare ValueError.
+    header = (0b001 << 29) | (3 << 27) | (int(ConfigRegister.FAR) << 13)
+    with pytest.raises(BitstreamFormatError, match="reserved opcode"):
+        PacketDecoder([header, 0]).decode_all()
+
+
 def test_noop_packets():
     packets = noop_packets(3)
     assert len(packets) == 3

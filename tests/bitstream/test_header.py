@@ -57,6 +57,13 @@ def test_missing_length_field_rejected():
         BitstreamHeader.decode(blob[:-5] + b"x" * 0)
 
 
+def test_non_ascii_field_rejected():
+    blob = make_header().encode()
+    blob = blob.replace(b"module.ncd", b"m\xf6dule.ncd")
+    with pytest.raises(BitstreamFormatError, match="not ASCII"):
+        BitstreamHeader.decode(blob)
+
+
 def test_long_names_supported():
     header = make_header(design_name="a" * 200)
     decoded, _ = BitstreamHeader.decode(header.encode())

@@ -208,3 +208,16 @@ def test_nop_packet_with_payload_is_skipped(logic):
     bitstream = generate_bitstream(size=DataSize.from_kb(8))
     logic.feed_words(bitstream.raw_words)
     assert logic.frames_written == bitstream.frame_count
+
+
+def test_reserved_opcode_in_type1_header_rejected(logic):
+    reserved = (0b001 << 29) | (3 << 27) | (int(ConfigRegister.CMD) << 13) | 1
+    with pytest.raises(BitstreamFormatError, match="reserved opcode"):
+        logic.feed_words([SYNC_WORD, reserved])
+
+
+def test_reserved_opcode_in_type2_header_rejected(logic):
+    type1 = write_packet(ConfigRegister.FDRI, []).encode()
+    reserved = (0b010 << 29) | (3 << 27) | 1
+    with pytest.raises(BitstreamFormatError, match="reserved opcode"):
+        logic.feed_words([SYNC_WORD, *type1, reserved])

@@ -1,6 +1,10 @@
 """The ``repro serve`` command line: run, bench, files, sanitize."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +104,21 @@ def test_bench_rejects_bad_loads():
 def test_serve_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["serve"])
+
+
+def test_library_error_is_a_one_line_usage_error(capsys):
+    # --boards 0 passes the parser; the ServeSpec rejects it.
+    assert main(["serve", "run", "--boards", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "repro: error: fleet needs >= 1 board, got 0\n"
+
+
+def test_library_error_exit_status_from_the_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "run", "--boards", "0"],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "repro: error: fleet needs >= 1 board, got 0"]
