@@ -21,6 +21,13 @@ crashed or concurrent writer can never leave a half-written artifact
 behind — concurrent workers racing on the same key both write the same
 bytes and the atomic rename picks a winner.
 
+Each file is the SHA-256 digest of its payload followed by the
+payload.  A file that is too short or whose digest does not match (a
+truncated copy, a flipped bit on disk) is treated as a miss: the
+artifact is rebuilt and the file overwritten, and the damage is
+counted in :attr:`CacheStats.corrupt`.  A damaged blob therefore never
+reaches a decoder, and never yields a silently wrong number.
+
 Cached bitstreams are stored as a JSON metadata header (header fields
 and frame bookkeeping) followed by the raw configuration words, so a
 hit reconstructs the full :class:`PartialBitstream` without re-running
@@ -50,7 +57,10 @@ from repro.compress.registry import codec_by_name
 
 #: Bump when any serialised artifact layout changes; every key embeds
 #: it, so old cache directories are silently orphaned, never misread.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+
+#: Length of the SHA-256 digest that frames every stored payload.
+_DIGEST_BYTES = 32
 
 
 def artifact_key(params: Dict[str, Any]) -> str:
@@ -89,19 +99,23 @@ class CacheStats:
 
     ``bytes_read`` counts blob bytes served from the cache (hits);
     ``bytes_written`` counts blob bytes stored on misses.  Both refer
-    to artifact payloads, not filesystem overhead.
+    to artifact payloads, not filesystem overhead or the integrity
+    digest.  ``corrupt`` counts stored blobs that failed their
+    integrity check and were treated as misses.
     """
 
     hits: int = 0
     misses: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
+    corrupt: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
         self.misses += other.misses
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
+        self.corrupt += other.corrupt
 
 
 class ArtifactCache:
@@ -114,16 +128,32 @@ class ArtifactCache:
     def _path(self, key: str) -> str:
         return os.path.join(self._objects, key[:2], key[2:])
 
-    def get(self, key: str) -> Optional[bytes]:
-        """The stored blob, or ``None`` on a miss."""
+    def get(self, key: str,
+            stats: Optional[CacheStats] = None) -> Optional[bytes]:
+        """The stored blob, or ``None`` on a miss.
+
+        A stored file that fails its integrity check is a miss too;
+        it is counted in ``stats.corrupt`` when ``stats`` is given.
+        """
         try:
             with open(self._path(key), "rb") as handle:
-                return handle.read()
+                framed = handle.read()
         except FileNotFoundError:
             return None
+        blob = framed[_DIGEST_BYTES:]
+        if (len(framed) < _DIGEST_BYTES
+                or hashlib.sha256(blob).digest() != framed[:_DIGEST_BYTES]):
+            if stats is not None:
+                stats.corrupt += 1
+            return None
+        return blob
 
     def put(self, key: str, blob: bytes) -> None:
-        """Store ``blob`` under ``key`` atomically (tmp + rename)."""
+        """Store ``blob`` under ``key`` atomically (tmp + rename).
+
+        The file holds the SHA-256 digest of ``blob`` followed by
+        ``blob``; :meth:`get` checks it.
+        """
         path = self._path(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
@@ -131,6 +161,7 @@ class ArtifactCache:
                                                 prefix=".tmp-")
         try:
             with os.fdopen(descriptor, "wb") as handle:
+                handle.write(hashlib.sha256(blob).digest())
                 handle.write(blob)
             os.replace(tmp_path, path)
         except BaseException:
@@ -159,7 +190,7 @@ class ArtifactCache:
         and frame bookkeeping) without running the generator.
         """
         key = artifact_key(bitstream_params(spec))
-        blob = self.get(key)
+        blob = self.get(key, stats)
         if blob is not None:
             if stats is not None:
                 stats.hits += 1
@@ -189,7 +220,7 @@ class ArtifactCache:
         params["kind"] = "compressed"
         params["codec"] = codec_name
         key = artifact_key(params)
-        blob = self.get(key)
+        blob = self.get(key, stats)
         if blob is not None:
             if stats is not None:
                 stats.hits += 1
@@ -219,9 +250,9 @@ class ArtifactCache:
 
         Hit/miss accounting stays with the caller (the engine counts a
         record miss only once per cell); ``stats`` only accumulates
-        the byte traffic.
+        the byte traffic and integrity failures.
         """
-        blob = self.get(artifact_key(params))
+        blob = self.get(artifact_key(params), stats)
         if blob is None:
             return None
         if stats is not None:

@@ -250,6 +250,7 @@ def _execute_cell(spec: RunSpec, cache_root: Optional[str] = None,
         registry.counter("sweep.cache.bytes_read").inc(stats.bytes_read)
         registry.counter("sweep.cache.bytes_written").inc(
             stats.bytes_written)
+        registry.counter("sweep.cache.corrupt").inc(stats.corrupt)
         snapshot = registry.snapshot()
     return result, stats, snapshot, timer.elapsed_s
 

@@ -261,11 +261,11 @@ def test_cancel_during_run_skips_event(sim):
     assert fired == ["after"]
 
 
-# -- now-bucket fast path ----------------------------------------------
-# Events scheduled at exactly ``now`` while run() dispatches divert to
-# a FIFO bucket instead of the heap.  The tests below pin the ordering
-# contract: heap/drain entries at the current instant predate every
-# bucket entry, and within the bucket scheduling order is fire order.
+# -- same-instant scheduling -------------------------------------------
+# Events scheduled at exactly ``now`` while run() dispatches.  The
+# tests below pin the ordering contract: entries already queued for the
+# current instant fire first, then the same-instant children in
+# scheduling order.
 
 
 def test_same_instant_storm_fires_fifo(sim):
@@ -275,7 +275,7 @@ def test_same_instant_storm_fires_fifo(sim):
         order.append("head")
         for label in "abc":
             sim.at(10, lambda label=label: order.append(label))
-        # Cascade: a bucket callback appending more same-instant work.
+        # Cascade: a same-instant callback appending more same-instant work.
         sim.at(10, lambda: sim.at(10, lambda: order.append("tail")))
 
     sim.at(10, storm)
@@ -290,7 +290,7 @@ def test_pre_queued_same_time_precedes_bucket(sim):
 
     def first():
         order.append("first")
-        # Lands in the bucket, but the pre-queued "second" at the same
+        # Scheduled at now, but the pre-queued "second" at the same
         # instant carries a lower sequence and must fire before it.
         sim.at(10, lambda: order.append("bucketed"))
 
@@ -342,7 +342,7 @@ def test_pending_events_counts_bucket_mid_run(sim):
 
     sim.at(10, storm)
     sim.run()
-    # Each bucket callback sees the ones still queued behind it.
+    # Each same-instant callback sees the ones still queued behind it.
     assert depths == [2, 1, 0]
 
 
@@ -377,11 +377,11 @@ def test_exception_merges_bucket_remnant_into_queue(sim):
     sim.at(10, storm)
     with pytest.raises(RuntimeError):
         sim.run()
-    # The undispatched bucket entries survive the abort on the heap...
+    # The undispatched same-instant entries survive the abort...
     assert sim.pending_events == 2
     sim.run()
     # ...and fire later in their original FIFO order, minus the
-    # cancellation recorded while they sat in the bucket.
+    # cancellation recorded before the abort.
     assert order == ["survivor-a", "survivor-b"]
     assert sim.pending_events == 0
 
@@ -425,6 +425,6 @@ def test_observed_drain_matches_unobserved_for_storm():
     assert observed_order == plain_order
     assert len(observed.observer.fired) == len(plain_order)
     # Depth reported to the observer is the true pending count after
-    # each dispatch, bucket share included.
+    # each dispatch, same-instant children included.
     assert [depth for _, depth in observed.observer.fired] == \
         [5, 4, 3, 2, 1, 0]

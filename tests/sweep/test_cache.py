@@ -7,6 +7,8 @@
 
 import os
 
+import pytest
+
 from repro.bitstream.generator import BitstreamSpec, generate_bitstream
 from repro.sweep import ArtifactCache, CacheStats, artifact_key
 from repro.sweep.cache import bitstream_params
@@ -110,3 +112,73 @@ def test_clear_empties_the_store(tmp_path):
     cache.put(key, b"x")
     cache.clear()
     assert cache.get(key) is None
+
+
+# -- integrity: a damaged blob is a counted miss, never a wrong value ----
+
+def _damage(cache, key, how):
+    """Damage the stored file of ``key`` in place."""
+    path = os.path.join(cache.root, "objects", key[:2], key[2:])
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    if how == "truncate":
+        data = data[:len(data) // 2]
+    elif how == "short":
+        data = data[:2]
+    else:
+        data[len(data) // 2] ^= 0x5A
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+def test_truncated_compressed_entry_is_rebuilt(tmp_path):
+    from repro.compress import codec_by_name
+    cache = _cache(tmp_path)
+    spec = BitstreamSpec(size=DataSize.from_kb(6.5), seed=77)
+    cache.load_compressed(spec, "RLE")
+    params = bitstream_params(spec)
+    params.update(kind="compressed", codec="RLE")
+    _damage(cache, artifact_key(params), "truncate")
+
+    stats = CacheStats()
+    rebuilt = cache.load_compressed(spec, "RLE", stats)
+    assert rebuilt == codec_by_name("RLE").measure(
+        generate_bitstream(spec).raw_bytes)
+    assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+    # The rebuilt entry overwrote the damaged one.
+    assert cache.load_compressed(spec, "RLE", stats) == rebuilt
+    assert (stats.hits, stats.misses, stats.corrupt) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("how", ["short", "flip"])
+def test_damaged_bitstream_entry_is_rebuilt(tmp_path, how):
+    cache = _cache(tmp_path)
+    spec = BitstreamSpec(size=DataSize.from_kb(6.5), seed=77)
+    cache.load_bitstream(spec)
+    _damage(cache, artifact_key(bitstream_params(spec)), how)
+
+    stats = CacheStats()
+    rebuilt = cache.load_bitstream(spec, stats)
+    assert rebuilt.raw_bytes == generate_bitstream(spec).raw_bytes
+    assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+    assert cache.load_bitstream(spec, stats).raw_bytes == rebuilt.raw_bytes
+    assert (stats.hits, stats.corrupt) == (1, 1)
+
+
+def test_damaged_run_record_is_a_counted_miss(tmp_path):
+    from repro.sweep import SMOKE_GRID
+    from repro.sweep.engine import _execute_cell, _record_params
+    cache_root = str(tmp_path / "cache")
+    spec = SMOKE_GRID.expand()[0]
+    first, _, _, _ = _execute_cell(spec, cache_root=cache_root)
+    _damage(ArtifactCache(cache_root),
+            artifact_key(_record_params(spec)), "truncate")
+
+    again, stats, snapshot, _ = _execute_cell(
+        spec, cache_root=cache_root, collect_metrics=True)
+    assert again == first
+    assert (stats.hits, stats.corrupt) == (1, 1)
+    assert snapshot["counters"]["sweep.cache.corrupt"] == 1
+    # The record was rewritten: the next read is a clean hit.
+    _, stats, _, _ = _execute_cell(spec, cache_root=cache_root)
+    assert (stats.hits, stats.misses, stats.corrupt) == (1, 0, 0)

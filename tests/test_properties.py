@@ -6,6 +6,7 @@ injectivity, packet encode/decode inversion, unit arithmetic, DCM
 grid correctness, and configuration-CRC sensitivity.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitstream.crc import ConfigCrc
@@ -18,7 +19,7 @@ from repro.bitstream.format import (
     bytes_to_words,
     words_to_bytes,
 )
-from repro.bitstream.frames import BlockType, FrameAddress
+from repro.bitstream.frames import BlockType, FrameAddress, frame_layout
 from repro.fpga.dcm import DcmSettings, best_settings
 from repro.units import DataSize, Frequency
 
@@ -48,9 +49,23 @@ def test_far_pack_injective(first_fields, second_fields):
         assert first.pack() != second.pack()
 
 
+@pytest.fixture(scope="module")
+def frame_layouts():
+    """Every layout the enumeration walks, built before the timed examples.
+
+    A cold ``FrameLayout`` for the Virtex-6 takes a few hundred
+    milliseconds, which would otherwise land inside the first example's
+    deadline for each (device, block type).
+    """
+    return [frame_layout(device, block_type)
+            for device in (VIRTEX5_SX50T, VIRTEX6_LX240T)
+            for block_type in BlockType]
+
+
 @given(far_fields, st.integers(1, 300),
        st.sampled_from([VIRTEX5_SX50T, VIRTEX6_LX240T]))
-def test_frame_enumeration_is_injective(fields, count, device):
+def test_frame_enumeration_is_injective(frame_layouts, fields, count,
+                                        device):
     start = FrameAddress(*fields)
     from repro.bitstream.frames import region_frames
     frames = list(region_frames(device, start, count))
