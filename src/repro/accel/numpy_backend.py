@@ -11,15 +11,19 @@ output-identical so the switch is invisible.
 
 Kernel notes:
 
-* ``crc32c`` folds 64-byte chunks in parallel: ``_TABS[d][b]`` is the
-  CRC contribution of byte ``b`` followed by ``d`` zero bytes, so one
-  table-gather pass per chunk column yields every chunk's raw CRC at
-  once; chunk CRCs are then combined pairwise with cached
-  "advance-by-N-zero-bytes" GF(2) matrices (a log-depth tree).  The
-  initial register is folded by XORing its four little-endian bytes
-  into the first real data bytes — raw CRC from state 0 ignores
-  leading zeros, which also makes front-padding to a power-of-two
-  chunk count free.
+* ``crc32c`` folds 64-byte chunks in parallel: entry
+  ``column * 256 + b`` of ``_COLUMN_TABLE`` is the CRC contribution
+  of byte ``b`` at ``column`` of a chunk, so one flattened table
+  gather plus an XOR reduction along each chunk yields every chunk's
+  raw CRC at once (gathered 1024 chunks at a time to keep the
+  temporaries small).  Chunk CRCs are then combined pairwise in a
+  log-depth tree; each level's "advance by 64 * 2**j zero bytes" map
+  is linear, so it is applied as four 256-entry byte-table lookups
+  built once from its GF(2) matrix.  The initial register is folded
+  by XORing its four little-endian bytes into the first real data
+  bytes.  Raw CRC from state 0 ignores leading zeros, so the input is
+  front-padded to whole chunks and a level with an odd chunk count
+  gets one zero chunk in front, both for free.
 * ``synthesize_payload`` views the plan's typed arrays zero-copy,
   expands ops with ``np.repeat``, and resolves copy-from-previous-
   frame references by peeling chains on the copy-owned subset: each
@@ -77,8 +81,12 @@ _HUFF_MIN_BYTES = 1024
 _RLE_MIN_WORDS = 64
 
 _CHUNK = 64  # bytes folded per vector CRC step
+# Chunks per table gather: the uint16 index block (128 KiB) and the
+# gathered uint32 block (256 KiB) stay well under 1 MiB.
+_GATHER_BLOCK = 1024
 
 _T0 = np.array(pure.CRC_TABLE, dtype=np.uint32)
+_BYTE = np.uint32(0xFF)
 
 
 def _build_chunk_tables(chunk: int) -> "np.ndarray":
@@ -92,7 +100,11 @@ def _build_chunk_tables(chunk: int) -> "np.ndarray":
     return tabs
 
 
-_TABS = _build_chunk_tables(_CHUNK)
+# Entry ``column * 256 + b``: the contribution of byte ``b`` at
+# ``column`` of a chunk, i.e. followed by ``_CHUNK - 1 - column`` zeros.
+_COLUMN_TABLE = np.ascontiguousarray(
+    _build_chunk_tables(_CHUNK)[::-1]).reshape(-1)
+_COLUMN_BASE = np.arange(_CHUNK, dtype=np.uint16) * np.uint16(256)
 
 
 def _shift_basis(n_bytes: int) -> "np.ndarray":
@@ -111,6 +123,7 @@ def _apply(cols: "np.ndarray", vec: "np.ndarray") -> "np.ndarray":
     return out
 
 _LEVELS: List["np.ndarray"] = []  # [j]: shift by _CHUNK * 2**j bytes
+_LEVEL_TABLES: List["np.ndarray"] = []  # [j]: byte tables of _LEVELS[j]
 
 
 def _level(j: int) -> "np.ndarray":
@@ -123,31 +136,53 @@ def _level(j: int) -> "np.ndarray":
     return _LEVELS[j]
 
 
+def _level_tables(j: int) -> "np.ndarray":
+    """``tables[k][b]``: level ``j``'s shift applied to ``b << 8k``.
+
+    The shift is linear, so it maps a register to the XOR of its four
+    bytes' table entries.
+    """
+    while len(_LEVEL_TABLES) <= j:
+        cols = _level(len(_LEVEL_TABLES))
+        byte_values = np.arange(256, dtype=np.uint32)
+        _LEVEL_TABLES.append(np.stack([
+            _apply(cols, byte_values << np.uint32(8 * k))
+            for k in range(4)]))
+    return _LEVEL_TABLES[j]
+
+
 def crc32c(data: bytes, crc: int = 0) -> int:
     length = len(data)
     # The init-register fold below needs four real data bytes.
     if length < 4 or length < _CRC_MIN_BYTES:
         return pure.crc32c(data, crc)
     state = (crc ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    raw = np.frombuffer(data, dtype=np.uint8)
     chunk_count = -(-length // _CHUNK)
-    padded = 1
-    while padded < chunk_count:
-        padded <<= 1
-    pad = padded * _CHUNK - length
-    buf = np.zeros(padded * _CHUNK, dtype=np.uint8)
-    buf[pad:] = raw
+    pad = chunk_count * _CHUNK - length
+    buf = np.zeros(chunk_count * _CHUNK, dtype=np.uint8)
+    buf[pad:] = np.frombuffer(data, dtype=np.uint8)
     # Fold the initial register into the first four real bytes (the
     # reflected CRC register maps to little-endian byte order).
-    for i in range(4):
-        buf[pad + i] ^= (state >> (8 * i)) & 0xFF
-    chunks = buf.reshape(padded, _CHUNK)
-    acc = np.zeros(padded, dtype=np.uint32)
-    for column in range(_CHUNK):
-        acc ^= _TABS[_CHUNK - 1 - column][chunks[:, column]]
+    buf[pad:pad + 4] ^= np.frombuffer(state.to_bytes(4, "little"),
+                                      dtype=np.uint8)
+    chunks = buf.reshape(chunk_count, _CHUNK)
+    acc = np.empty(chunk_count, dtype=np.uint32)
+    for begin in range(0, chunk_count, _GATHER_BLOCK):
+        block = chunks[begin:begin + _GATHER_BLOCK]
+        np.bitwise_xor.reduce(_COLUMN_TABLE[block + _COLUMN_BASE], axis=1,
+                              out=acc[begin:begin + len(block)])
     j = 0
     while len(acc) > 1:
-        acc = _apply(_level(j), acc[0::2]) ^ acc[1::2]
+        if len(acc) & 1:
+            # A zero chunk in front leaves the raw CRC unchanged.
+            acc = np.concatenate((np.zeros(1, dtype=np.uint32), acc))
+        tables = _level_tables(j)
+        head = acc[0::2]
+        acc = (tables[0][head & _BYTE]
+               ^ tables[1][(head >> np.uint32(8)) & _BYTE]
+               ^ tables[2][(head >> np.uint32(16)) & _BYTE]
+               ^ tables[3][head >> np.uint32(24)]
+               ^ acc[1::2])
         j += 1
     return int(acc[0]) ^ 0xFFFFFFFF
 

@@ -16,9 +16,11 @@ property — detection of corrupted/mis-sequenced writes.)
 
 The byte-level folding is a :mod:`repro.accel` kernel: the pure
 backend keeps the slicing-by-8 table walk, the numpy backend folds
-64-byte chunks in parallel.  Both are bit-identical; this CRC runs
-over every FDRI word of every simulated reconfiguration, so it
-dominates sweep time and is worth accelerating.
+64-byte chunks with one table gather and combines the chunk CRCs
+through byte tables in a log-depth tree.  Both are bit-identical;
+this CRC runs over every FDRI word of every simulated
+reconfiguration, so it dominates sweep time and is worth
+accelerating.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ class ConfigCrc:
                            packed: bytes) -> None:
         """:meth:`update_block` taking the big-endian packed payload.
 
-        Callers that already hold the serialized words (the generator
-        caches its frame payload bytes) skip the re-pack.
+        Callers that already hold the serialized words skip the
+        re-pack: the generator caches its frame payload bytes, and the
+        configuration logic folds FDRI data from the bytes each ICAP
+        burst is serialized into once.
         """
         count = len(packed) // 4
         if count == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.bitstream.device import DeviceInfo
 from repro.errors import BitstreamFormatError
@@ -39,6 +39,13 @@ _ROW_SHIFT = _COLUMN_SHIFT + _COLUMN_BITS
 _TOP_SHIFT = _ROW_SHIFT + _ROW_BITS
 _TYPE_SHIFT = _TOP_SHIFT + _TOP_BITS
 
+_MINOR_LIMIT = 1 << _MINOR_BITS
+_COLUMN_LIMIT = 1 << _COLUMN_BITS
+_ROW_LIMIT = 1 << _ROW_BITS
+_TOP_LIMIT = 1 << _TOP_BITS
+
+_BLOCK_TYPES: Dict[int, BlockType] = {int(block): block for block in BlockType}
+
 
 @dataclass(frozen=True, order=True)
 class FrameAddress:
@@ -51,6 +58,10 @@ class FrameAddress:
     minor: int
 
     def __post_init__(self) -> None:
+        if (0 <= self.top < _TOP_LIMIT and 0 <= self.row < _ROW_LIMIT
+                and 0 <= self.column < _COLUMN_LIMIT
+                and 0 <= self.minor < _MINOR_LIMIT):
+            return
         checks = (
             (self.top, _TOP_BITS, "top"),
             (self.row, _ROW_BITS, "row"),
@@ -79,36 +90,30 @@ class FrameAddress:
         if not 0 <= raw < (1 << 32):
             raise BitstreamFormatError(f"FAR value {raw:#x} is not 32-bit")
         block = (raw >> _TYPE_SHIFT) & ((1 << _TYPE_BITS) - 1)
-        try:
-            block_type = BlockType(block)
-        except ValueError:
+        block_type = _BLOCK_TYPES.get(block)
+        if block_type is None:
             raise BitstreamFormatError(
                 f"FAR block type {block} is not defined"
-            ) from None
-        return cls(
-            block_type=block_type,
-            top=(raw >> _TOP_SHIFT) & ((1 << _TOP_BITS) - 1),
-            row=(raw >> _ROW_SHIFT) & ((1 << _ROW_BITS) - 1),
-            column=(raw >> _COLUMN_SHIFT) & ((1 << _COLUMN_BITS) - 1),
-            minor=(raw >> _MINOR_SHIFT) & ((1 << _MINOR_BITS) - 1),
-        )
+            )
+        return cls(block_type,
+                   (raw >> _TOP_SHIFT) & (_TOP_LIMIT - 1),
+                   (raw >> _ROW_SHIFT) & (_ROW_LIMIT - 1),
+                   (raw >> _COLUMN_SHIFT) & (_COLUMN_LIMIT - 1),
+                   (raw >> _MINOR_SHIFT) & (_MINOR_LIMIT - 1))
 
     def next_in(self, device: DeviceInfo) -> "FrameAddress":
         """The frame address following this one in device order.
 
         Advances minor, then column, then row, then top/bottom —
         the auto-increment order the configuration logic applies when
-        consecutive frames stream through FDRI.  For in-geometry
-        addresses this is a lookup in the device's memoised
-        :class:`FrameLayout` (one successor table per device, built
-        once instead of per generated bitstream); out-of-geometry
-        addresses (a parsed FAR can carry any field values) fall back
-        to the arithmetic stepping.
+        consecutive frames stream through FDRI.  One step of
+        :meth:`FrameLayout.run`: an in-geometry address is an index
+        into the device's memoised packed layout, and an
+        out-of-geometry one (a parsed FAR can carry any field values)
+        takes the arithmetic step.  Walks of many frames call ``run``
+        once instead of this once per frame.
         """
-        successor = frame_layout(device, self.block_type).successor(self)
-        if successor is not None:
-            return successor
-        return self._next_arithmetic(device)
+        return frame_layout(device, self.block_type).run(self, 1)[1]
 
     def _next_arithmetic(self, device: DeviceInfo) -> "FrameAddress":
         """Field-arithmetic successor (the FrameLayout ground truth)."""
@@ -129,39 +134,78 @@ class FrameAddress:
 class FrameLayout:
     """Memoised linear frame order for one device and block type.
 
-    Walking a region frame by frame calls ``next_in`` once per frame;
-    before this table existed, every generated bitstream re-ran the
-    field arithmetic (and ``FrameAddress`` construction with its field
-    validation) for each of its thousands of frames.  The layout walks
-    the device's full address cycle *once* with the arithmetic rule —
-    so the table is correct by construction — and serves successors by
-    dictionary lookup afterwards.
+    ``packed`` is the device's full FAR cycle as packed register
+    values, in the auto-increment order of
+    :meth:`FrameAddress._next_arithmetic` (top, row, column, minor,
+    minor fastest), so a walk of ``n`` consecutive frames is one slice
+    of it instead of ``n`` successor lookups.  ``_position`` maps a
+    packed FAR back to its index in the cycle.
     """
 
-    __slots__ = ("device", "block_type", "addresses", "_successor")
+    __slots__ = ("device", "block_type", "packed", "_position")
 
     def __init__(self, device: DeviceInfo, block_type: BlockType) -> None:
         self.device = device
         self.block_type = block_type
-        cycle = (device.minor_frames_clb * device.columns
-                 * max(1, device.rows // 2) * 2)
-        addresses = []
-        address = FrameAddress(block_type, top=0, row=0, column=0, minor=0)
-        for _ in range(cycle):
-            addresses.append(address)
-            address = address._next_arithmetic(device)
-        self.addresses: Tuple[FrameAddress, ...] = tuple(addresses)
-        successor: Dict[FrameAddress, FrameAddress] = {}
-        for index, entry in enumerate(addresses):
-            successor[entry] = addresses[(index + 1) % cycle]
-        self._successor = successor
+        minors = device.minor_frames_clb
+        columns = device.columns
+        rows = max(1, device.rows // 2)
+        if minors > 0 and columns > 0:
+            # The highest address of the cycle: raises if the geometry
+            # overflows a FAR field, as the arithmetic walk would.
+            FrameAddress(block_type, 1, rows - 1, columns - 1, minors - 1)
+        base = int(block_type) << _TYPE_SHIFT
+        self.packed: Tuple[int, ...] = tuple(
+            base | (top << _TOP_SHIFT) | (row << _ROW_SHIFT)
+            | (column << _COLUMN_SHIFT) | minor
+            for top in (0, 1)
+            for row in range(rows)
+            for column in range(columns)
+            for minor in range(minors)
+        )
+        self._position: Dict[int, int] = {
+            far: index for index, far in enumerate(self.packed)}
+
+    def run(self, start: FrameAddress,
+            count: int) -> Tuple[List[int], FrameAddress]:
+        """``count`` consecutive packed FARs from ``start``, and the next.
+
+        Equal to ``count`` repeated :meth:`FrameAddress.next_in` steps.
+        A start outside this layout (out of the device geometry, or of
+        another block type) takes arithmetic steps until it enters the
+        layout; from there the walk is a slice of ``packed`` that wraps
+        at the end of the cycle.
+        """
+        if count < 0:
+            raise ValueError("frame count must be non-negative")
+        fars: List[int] = []
+        address = start
+        far = address.pack()
+        index = self._position.get(far)
+        while index is None and len(fars) < count:
+            fars.append(far)
+            address = address._next_arithmetic(self.device)
+            far = address.pack()
+            index = self._position.get(far)
+        if index is None or len(fars) == count:
+            return fars, address
+        packed = self.packed
+        remaining = count - len(fars)
+        while remaining:
+            take = min(remaining, len(packed) - index)
+            fars += packed[index:index + take]
+            remaining -= take
+            index = (index + take) % len(packed)
+        return fars, FrameAddress.unpack(packed[index])
 
     def successor(self, address: FrameAddress):
         """The next in-geometry address, or None if out of geometry."""
-        return self._successor.get(address)
+        if address.pack() not in self._position:
+            return None
+        return self.run(address, 1)[1]
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.packed)
 
 
 _LAYOUTS: Dict[Tuple[DeviceInfo, BlockType], FrameLayout] = {}
@@ -186,9 +230,6 @@ def frame_layout(device: DeviceInfo,
 def region_frames(device: DeviceInfo, start: FrameAddress,
                   count: int) -> Iterator[FrameAddress]:
     """Enumerate ``count`` consecutive frame addresses from ``start``."""
-    if count < 0:
-        raise ValueError("frame count must be non-negative")
-    address = start
-    for _ in range(count):
-        yield address
-        address = address.next_in(device)
+    fars, _ = frame_layout(device, start.block_type).run(start, count)
+    for far in fars:
+        yield FrameAddress.unpack(far)

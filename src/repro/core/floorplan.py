@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.bitstream.device import DeviceInfo
 from repro.bitstream.format import ConfigRegister, Opcode
-from repro.bitstream.frames import FrameAddress, region_frames
+from repro.bitstream.frames import FrameAddress, frame_layout, region_frames
 from repro.bitstream.generator import PartialBitstream
 from repro.errors import BitstreamError, CapacityError
 from repro.units import DataSize
@@ -47,7 +47,9 @@ class Region:
         return list(region_frames(device, self.origin, self.frame_count))
 
     def frame_set(self, device: DeviceInfo) -> Set[int]:
-        return {address.pack() for address in self.frames(device)}
+        fars, _ = frame_layout(device, self.origin.block_type).run(
+            self.origin, self.frame_count)
+        return set(fars)
 
     def capacity(self, device: DeviceInfo) -> DataSize:
         """Raw frame-data capacity of the region."""

@@ -28,7 +28,7 @@ from repro.bitstream.format import (
     SYNC_WORD,
     opcode_of,
 )
-from repro.bitstream.frames import FrameAddress
+from repro.bitstream.frames import FrameAddress, frame_layout
 from repro.errors import BitstreamFormatError, DeviceMismatchError
 
 _TYPE1_COUNT_MASK = (1 << 11) - 1
@@ -59,15 +59,34 @@ class ConfigurationMemory:
     def configured_frames(self) -> int:
         return len(self._frames)
 
+    def write_frames(self, start: FrameAddress,
+                     frames: List[List[int]]) -> FrameAddress:
+        """Store consecutive ``frames`` from ``start``; returns the next FAR.
+
+        The frame lists are stored as given, not copied: the caller
+        hands over fresh lists (the FDRI path passes what
+        ``accel.chunk_words`` returns) and must not mutate them.
+        """
+        frame_words = self.device.frame_words
+        for frame in frames:
+            if len(frame) != frame_words:
+                raise BitstreamFormatError(
+                    f"frame write of {len(frame)} words; "
+                    f"{self.device.name} frames are {frame_words} words"
+                )
+        fars, following = frame_layout(
+            self.device, start.block_type).run(start, len(frames))
+        self._frames.update(zip(fars, frames))
+        return following
+
     def frames_from(self, start: FrameAddress,
                     count: int) -> List[Optional[List[int]]]:
         """Read ``count`` consecutive frames starting at ``start``."""
-        frames = []
-        address = start
-        for _ in range(count):
-            frames.append(self.read_frame(address))
-            address = address.next_in(self.device)
-        return frames
+        fars, _ = frame_layout(self.device, start.block_type).run(start,
+                                                                  count)
+        stored = self._frames
+        return [None if frame is None else list(frame)
+                for frame in map(stored.get, fars)]
 
 
 class _State(enum.Enum):
@@ -236,18 +255,21 @@ class ConfigurationLogic:
             )
         if self._far is None:
             raise BitstreamFormatError("FDRO read without a FAR address")
-        device = self.memory.device
-        remaining = count
-        address = self._far
-        while remaining > 0:
-            frame = self.memory.read_frame(address)
-            words = frame if frame is not None \
-                else [0] * device.frame_words
-            take = min(remaining, len(words))
-            self.readback_data.extend(words[:take])
-            remaining -= take
-            address = address.next_in(device)
-        self._far = address
+        memory = self.memory
+        frame_words = memory.device.frame_words
+        # Every frame that supplies a word is consumed, so a partial
+        # last frame still advances the FAR past it.
+        fars, self._far = frame_layout(
+            memory.device, self._far.block_type).run(
+                self._far, -(-count // frame_words))
+        blank = [0] * frame_words
+        stored = memory._frames
+        data = self.readback_data
+        for far in fars:
+            data.extend(stored.get(far, blank))
+        excess = len(fars) * frame_words - count
+        if excess:
+            del data[-excess:]
 
     def _payload_word(self, word: int) -> None:
         assert self._register is not None
@@ -269,7 +291,14 @@ class ConfigurationLogic:
             self._far = FrameAddress.unpack(word)
             self._frame_buffer.clear()
         elif register is ConfigRegister.CMD:
-            self._execute_command(Command(word & 0x1F))
+            code = word & 0x1F
+            try:
+                command = Command(code)
+            except ValueError:
+                raise BitstreamFormatError(
+                    f"undefined command {code}"
+                ) from None
+            self._execute_command(command)
         elif register is ConfigRegister.IDCODE:
             if word != self.memory.device.idcode:
                 raise DeviceMismatchError(
@@ -295,7 +324,7 @@ class ConfigurationLogic:
 
     def _frame_data_block(self, block: Sequence[int],
                           packed: Optional[bytes] = None) -> None:
-        """Bulk FDRI data: one CRC fold, frame-sized memory writes.
+        """Bulk FDRI data: one CRC fold, one multi-frame memory write.
 
         Only entered once the per-word path's preconditions (WCFG
         command, FAR set, IDCODE checked) are established; violations
@@ -305,28 +334,21 @@ class ConfigurationLogic:
             self._crc.update_block(int(ConfigRegister.FDRI), block)
         else:
             self._crc.update_block_bytes(int(ConfigRegister.FDRI), packed)
-        device = self.memory.device
-        frame_words = device.frame_words
+        frame_words = self.memory.device.frame_words
         buffer = self._frame_buffer
-        far = self._far
         position = 0
-        count = len(block)
+        frames = []
         if buffer:
-            take = min(frame_words - len(buffer), count)
-            buffer.extend(block[:take])
-            position = take
+            position = min(frame_words - len(buffer), len(block))
+            buffer.extend(block[:position])
             if len(buffer) == frame_words:
-                self.memory.write_frame(far, buffer)
+                frames.append(list(buffer))
                 buffer.clear()
-                far = far.next_in(device)
-                self.frames_written += 1
-        frames, tail = accel.chunk_words(block, position, frame_words)
-        for frame in frames:
-            self.memory.write_frame(far, frame)
-            far = far.next_in(device)
+        body, tail = accel.chunk_words(block, position, frame_words)
+        frames += body
+        self._far = self.memory.write_frames(self._far, frames)
         self.frames_written += len(frames)
         buffer.extend(tail)
-        self._far = far
 
     def _frame_data_word(self, word: int) -> None:
         if self._command is not Command.WCFG:

@@ -127,11 +127,14 @@ class Icap:
         holds the big-endian serialization of ``words`` (the UReC
         decompression path produces bytes first) passes it as
         ``packed`` to skip the re-pack; it must equal
-        ``words_to_bytes(words)``.
+        ``words_to_bytes(words)``.  Either way the burst is serialized
+        once, and the configuration logic folds its FDRI CRC from the
+        same bytes.
         """
         duration = self.accept_burst(len(words), words_per_cycle)
-        self._crc = zlib.crc32(words_to_bytes(words) if packed is None
-                               else packed, self._crc)
+        if packed is None:
+            packed = words_to_bytes(words)
+        self._crc = zlib.crc32(packed, self._crc)
         if self.config_logic is not None:
             self.config_logic.feed_words(words, packed=packed)
         return duration

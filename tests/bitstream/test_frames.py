@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.bitstream.device import VIRTEX4_FX60, VIRTEX5_SX50T
+from repro.bitstream.device import VIRTEX4_FX60, VIRTEX5_SX50T, VIRTEX6_LX240T
 from repro.bitstream.frames import (
     BlockType,
     FrameAddress,
@@ -125,3 +125,88 @@ def test_next_in_outside_geometry_falls_back_to_arithmetic():
     assert layout.successor(address) is None
     assert address.next_in(VIRTEX5_SX50T) == \
         address._next_arithmetic(VIRTEX5_SX50T)
+
+
+# -- the packed FrameLayout contract ------------------------------------
+
+LAYOUT_DEVICES = (VIRTEX4_FX60, VIRTEX5_SX50T, VIRTEX6_LX240T)
+
+
+def _arithmetic_walk(device, start, count):
+    """``count`` packed FARs from ``start`` plus the next address."""
+    fars = []
+    address = start
+    for _ in range(count):
+        fars.append(address.pack())
+        address = address._next_arithmetic(device)
+    return fars, address
+
+
+def _next_in_walk(device, start, count):
+    fars = []
+    address = start
+    for _ in range(count):
+        fars.append(address.pack())
+        address = address.next_in(device)
+    return fars, address
+
+
+@pytest.mark.parametrize("block_type", list(BlockType))
+@pytest.mark.parametrize("device", LAYOUT_DEVICES,
+                         ids=lambda device: device.name)
+def test_layout_packed_is_the_arithmetic_cycle(device, block_type):
+    layout = frame_layout(device, block_type)
+    start = FrameAddress(block_type, 0, 0, 0, 0)
+    fars, following = _arithmetic_walk(device, start, len(layout))
+    assert list(layout.packed) == fars
+    assert following == start  # the cycle closes
+
+
+def _run_starts(device):
+    cycle_end = FrameAddress.unpack(frame_layout(device).packed[-1])
+    return {
+        "in-geometry": FrameAddress(BlockType.CLB_IO_CLK, 0, 1, 7, 3),
+        "cycle-end": cycle_end,
+        "out-of-geometry": FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 200, 3),
+        "other-block-type": FrameAddress(BlockType.BRAM_CONTENT, 1, 0, 5, 2),
+    }
+
+
+@pytest.mark.parametrize("count", [0, 1, 37, 500])
+@pytest.mark.parametrize("start_name", ["in-geometry", "cycle-end",
+                                        "out-of-geometry",
+                                        "other-block-type"])
+@pytest.mark.parametrize("device", LAYOUT_DEVICES,
+                         ids=lambda device: device.name)
+def test_layout_run_equals_repeated_steps(device, start_name, count):
+    start = _run_starts(device)[start_name]
+    expected = _arithmetic_walk(device, start, count)
+    assert _next_in_walk(device, start, count) == expected
+    assert frame_layout(device, start.block_type).run(start, count) \
+        == expected
+    # A layout of another block type never contains the start, so the
+    # whole run takes the arithmetic steps.
+    other = frame_layout(device, BlockType.BRAM_INTERCONNECT
+                         if start.block_type is BlockType.CLB_IO_CLK
+                         else BlockType.CLB_IO_CLK)
+    assert other.run(start, count) == expected
+
+
+def test_layout_run_wraps_more_than_one_cycle():
+    layout = frame_layout(VIRTEX4_FX60)
+    start = FrameAddress.unpack(layout.packed[-2])
+    count = 2 * len(layout) + 5
+    assert layout.run(start, count) == \
+        _arithmetic_walk(VIRTEX4_FX60, start, count)
+
+
+def test_layout_run_negative_count():
+    with pytest.raises(ValueError):
+        frame_layout(VIRTEX5_SX50T).run(
+            FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 0, 0), -1)
+
+
+def test_layout_rejects_geometry_beyond_far_fields():
+    too_wide = dataclasses.replace(VIRTEX5_SX50T, columns=300)
+    with pytest.raises(BitstreamFormatError):
+        frame_layout(too_wide)

@@ -1,5 +1,7 @@
 """Configuration memory and packet-interpreting logic."""
 
+import random
+
 import pytest
 
 from repro.bitstream.device import VIRTEX5_SX50T, VIRTEX6_LX240T
@@ -8,11 +10,16 @@ from repro.bitstream.format import (
     ConfigRegister,
     SYNC_WORD,
     command_packet,
+    words_to_bytes,
     write_packet,
 )
 from repro.bitstream.frames import BlockType, FrameAddress
 from repro.bitstream.generator import REGION_ORIGIN, generate_bitstream
-from repro.errors import BitstreamFormatError, DeviceMismatchError
+from repro.errors import (
+    BitstreamFormatError,
+    DeviceMismatchError,
+    ReproError,
+)
 from repro.fpga.config_memory import (
     ConfigurationLogic,
     ConfigurationMemory,
@@ -61,6 +68,24 @@ class TestConfigurationMemory:
         frame = memory.read_frame(address)
         frame[0] = 99
         assert memory.read_frame(address)[0] == 7
+
+    def test_write_frames_stores_consecutively(self, memory):
+        start = FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 4,
+                             VIRTEX5_SX50T.minor_frames_clb - 2)
+        frames = [[index] * 41 for index in range(5)]
+        following = memory.write_frames(start, frames)
+        address = start
+        for frame in frames:
+            assert memory.read_frame(address) == frame
+            address = address.next_in(VIRTEX5_SX50T)
+        assert following == address
+        assert memory.frames_from(start, 5) == frames
+
+    def test_write_frames_rejects_wrong_frame_size(self, memory):
+        start = FrameAddress(BlockType.CLB_IO_CLK, 0, 0, 4, 0)
+        with pytest.raises(BitstreamFormatError):
+            memory.write_frames(start, [[0] * 41, [0] * 40])
+        assert memory.configured_frames == 0
 
 
 class TestConfigurationLogic:
@@ -149,6 +174,33 @@ class TestConfigurationLogic:
         header = (0b001 << 29) | (2 << 27) | (31 << 13) | 1
         with pytest.raises(BitstreamFormatError):
             logic.feed_words([header, 0])
+
+    @pytest.mark.parametrize("code", [14, 16, 26, 31])
+    def test_undefined_command_rejected(self, logic, code):
+        logic.feed_word(SYNC_WORD)
+        words = write_packet(ConfigRegister.CMD, [code]).encode()
+        with pytest.raises(BitstreamFormatError,
+                           match=f"undefined command {code}"):
+            logic.feed_words(words)
+
+    def test_mutated_stream_raises_only_repro_errors(self):
+        """Random words in a stream's header region never leak a raw
+        Python exception: each corrupted stream either loads or is
+        rejected with a typed error."""
+        words = generate_bitstream(size=DataSize.from_kb(6.5),
+                                   seed=3).raw_words
+        rng = random.Random(15)
+        rejected = 0
+        for _ in range(400):
+            mutated = list(words)
+            for _ in range(rng.randint(1, 4)):
+                mutated[rng.randrange(80)] = rng.getrandbits(32)
+            logic = ConfigurationLogic(ConfigurationMemory(VIRTEX5_SX50T))
+            try:
+                logic.feed_words(mutated, packed=words_to_bytes(mutated))
+            except ReproError:
+                rejected += 1
+        assert rejected > 0
 
     def test_orphan_type2_rejected(self, logic):
         logic.feed_word(SYNC_WORD)

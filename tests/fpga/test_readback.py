@@ -1,5 +1,8 @@
 """ICAP readback (RCFG/FDRO) and the hardware sequencer manager."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bitstream.device import VIRTEX5_SX50T
@@ -12,7 +15,7 @@ from repro.bitstream.format import (
     command_packet,
     write_packet,
 )
-from repro.bitstream.frames import BlockType, FrameAddress
+from repro.bitstream.frames import BlockType, FrameAddress, region_frames
 from repro.bitstream.generator import REGION_ORIGIN, generate_bitstream
 from repro.errors import BitstreamFormatError, HardwareModelError
 from repro.fpga.config_memory import (
@@ -180,3 +183,83 @@ class TestHardwareManagerSystem:
             return energies[0] / energies[1]
 
         assert spread("hardware") < spread("microblaze")
+
+
+class TestReadbackWalk:
+    """Multi-frame readback walks the packed layout in device order.
+
+    Frames are written one at a time across the end of the FAR cycle
+    and across a row boundary.  ``_serve_read`` (FDRO) and
+    ``frames_from`` must return them in the order that one-frame reads
+    with arithmetic FAR steps give: unwritten frames read as zeros
+    (FDRO) or None, the walk wraps to the start of the cycle, and a
+    partial last frame still advances the FAR.
+    """
+
+    # sha256 of the scenario's FDRO words, frames_from results and
+    # final FARs, recorded with the per-frame next_in walk.
+    DIGEST = ("f9d422380d39e99ad4bb764ff690aac9"
+              "2fabd7050ee83948f885f568e4c9fd22")
+    FRAMES = 14
+    WORDS = 13 * VIRTEX5_SX50T.frame_words + 17
+
+    def _scenario(self):
+        device = VIRTEX5_SX50T
+        logic = ConfigurationLogic(ConfigurationMemory(device))
+        memory = logic.memory
+        starts = (
+            FrameAddress(BlockType.CLB_IO_CLK, 1, 2, device.columns - 1, 30),
+            FrameAddress(BlockType.CLB_IO_CLK, 0, 0, device.columns - 1, 33),
+        )
+        address = starts[0]
+        for index in range(24):
+            if index % 5 != 3:  # leave some frames unwritten
+                memory.write_frame(address, [(index << 16) | offset
+                                             for offset in range(41)])
+            address = address._next_arithmetic(device)
+        address = starts[1]
+        for index in range(8):
+            memory.write_frame(address, [0xA5000000 | (index << 8)
+                                         | offset for offset in range(41)])
+            address = address._next_arithmetic(device)
+        runs = []
+        for start in starts:
+            sequence = [SYNC_WORD] if not logic.synced else []
+            sequence += command_packet(Command.RCFG).encode()
+            sequence += write_packet(ConfigRegister.FAR,
+                                     [start.pack()]).encode()
+            sequence += ConfigPacket(Opcode.READ, ConfigRegister.FDRO,
+                                     [0] * self.WORDS,
+                                     type2=True).encode()[:2]
+            before = len(logic.readback_data)
+            logic.feed_words(sequence)
+            runs.append((start, logic.readback_data[before:],
+                         memory.frames_from(start, self.FRAMES), logic._far))
+        return memory, runs
+
+    def test_matches_frame_by_frame_reference(self):
+        device = VIRTEX5_SX50T
+        memory, runs = self._scenario()
+        for start, data, frames, following in runs:
+            reference = []
+            address = start
+            for _ in range(self.FRAMES):
+                reference.append(memory.read_frame(address))
+                address = address._next_arithmetic(device)
+            assert frames == reference
+            flat = [word for frame in reference
+                    for word in frame or [0] * device.frame_words]
+            assert data == flat[:self.WORDS]
+            assert following == address
+        walked = [address.pack()
+                  for address in region_frames(device, runs[0][0],
+                                               self.FRAMES)]
+        assert 0 in walked  # the first run wraps past the cycle end
+        assert None in runs[0][2]
+
+    def test_pinned_digest(self):
+        _, runs = self._scenario()
+        blob = json.dumps([[start.pack(), data, frames, following.pack()]
+                           for start, data, frames, following in runs],
+                          sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
