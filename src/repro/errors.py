@@ -14,6 +14,14 @@ class ReproError(Exception):
     """Base class of every exception raised by :mod:`repro`."""
 
 
+class UnitError(ReproError, ValueError):
+    """A physical quantity is non-finite or outside its legal range.
+
+    Also a :class:`ValueError`, so callers that validated unit
+    arithmetic by catching ``ValueError`` keep working.
+    """
+
+
 class AccelError(ReproError):
     """A datapath backend could not be selected or loaded."""
 

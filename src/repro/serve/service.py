@@ -4,34 +4,40 @@ One :class:`FleetService` drives a board fleet against a pre-generated
 request stream on a single :class:`~repro.sim.kernel.Simulator`.  The
 design goal is *order-independence under same-instant perturbation*
 (the S903 determinism contract) while still putting real concurrency
-on the kernel — several boards complete at one instant, arrivals
-collide with completions — so the race sanitizers have something to
-check.
+on the kernel — several boards complete at one instant, completions
+collide with passes — so the race sanitizers have something to check.
 
 The structure that achieves it:
 
 * All shared scheduler state (queues, deficits, board bookkeeping) is
   owned by **pass** events.  At most one pass runs per instant (a set
   of scheduled pass times dedupes requests), so passes never race.
-* Arrival and completion callbacks are pure mailbox appends: they
-  record themselves and request a pass at ``now + 1``.  They touch no
+* Arrivals are not events.  The stream is stable-sorted by arrival
+  once, and a cursor walks it: a pass at ``T`` admits the prefix with
+  ``arrival_ps < T`` and requests the pass at ``next.arrival_ps + 1``.
+  Every distinct arrival instant ``a`` therefore gets exactly one pass
+  at ``a + 1`` — the instants an arrival callback would have asked
+  for — and equal arrivals are offered in list order.
+* Completion callbacks are pure mailbox appends: they record
+  themselves and request a pass at ``finish + 1``.  They touch no
   queue, no board, no counter.
-* A pass at instant ``T`` consumes only mailbox items stamped
-  **strictly before** ``T``.  Same-instant callbacks can only append
-  items stamped ``T``, so the set a pass processes — and everything
+* A pass at instant ``T`` consumes only completions stamped **strictly
+  before** ``T``.  Same-instant callbacks can only append items
+  stamped ``T``, so the set a pass processes — and everything
   downstream of it — is independent of the order the kernel fired
   those callbacks in.  Items stamped ``T`` wait for the pass at
   ``T + 1`` that their own callback requested.
-* Mailboxes are drained in sorted order (arrival time; then
-  ``(finish, board)``), never in append order.  Callbacks append at
-  the current sim time, so each mailbox is nondecreasing in its stamp
-  and the items a pass consumes are a prefix, cut off in place.
+* The completion mailbox is drained in sorted ``(finish, board)``
+  order, never in append order.  Callbacks append at the current sim
+  time, so the mailbox is nondecreasing in its stamp and the items a
+  pass consumes are a prefix, cut off in place.
 * Preemption never cancels events: the board's ``service_generation``
   is bumped, and the stale completion is discarded when drained.
 
 Pass processing order is fixed — completions, admissions, preemption,
 dispatch — so freed boards are visible to the dispatcher within the
-same pass.
+same pass.  Preemption and dispatch consult the scheduler only while
+requests are queued, so an idle pass never calls it.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import current_registry
-from repro.obs.metrics import Counter
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.tracing import TraceScope
 from repro.serve.admission import AdmissionController
 from repro.serve.fleet import ServiceTimeTable, build_fleet
@@ -137,8 +143,11 @@ class FleetService:
             self._tracks = {board.board_id:
                             scope.track(board.name, cat="serve")
                             for board in self._fleet}
-        # Mailboxes (append-only from callbacks, drained by passes).
-        self._inbox: List[RequestSpec] = []
+        # The arrival-sorted stream and the cursor passes advance.
+        self._stream: List[RequestSpec] = []
+        self._cursor = 0
+        # Completion mailbox (append-only from callbacks, drained by
+        # passes).
         self._done_inbox: List[Tuple[int, int, int]] = []
         self._scheduled_passes: Set[int] = set()
         # Pass-owned state.
@@ -148,9 +157,16 @@ class FleetService:
         self._preemptions = 0
         self._stale = 0
         # Per-pass instruments, bound when the first pass can run;
-        # name-formatted ones are bound on first use, so an instrument
-        # that is never hit is never created.
-        self._passes = self._depth_gauge = self._backpressure = None
+        # dispatch and completion instruments are bound on first use,
+        # so an instrument that is never hit is never created.
+        self._passes = self._offered = None
+        self._depth_gauge = self._backpressure = None
+        self._latency: Optional[Histogram] = None
+        self._batches: Optional[Counter] = None
+        self._inflight: Optional[Gauge] = None
+        self._completed: Optional[Counter] = None
+        self._missed: Optional[Counter] = None
+        self._dispatch_counters: Dict[bool, Counter] = {}
         self._shed_counters: Dict[str, Tuple[Counter, Counter]] = {}
         self._board_counters: Dict[int, Counter] = {}
 
@@ -165,15 +181,21 @@ class FleetService:
     # -- top level -----------------------------------------------------
 
     def run(self, requests: List[RequestSpec]) -> ServeOutcome:
-        """Serve the whole stream; returns when the fleet drains."""
-        arrivals = [(request.arrival_ps, partial(self._arrive, request))
-                    for request in requests]
-        self._sim.schedule_batch(arrivals)
-        if arrivals:  # an empty stream runs no pass and counts none
+        """Serve the whole stream; returns when the fleet drains.
+
+        ``requests`` may come in any order: the cursor walks a stable
+        sort by arrival, so equal arrivals are offered in list order.
+        """
+        self._stream = sorted(requests,
+                              key=lambda request: request.arrival_ps)
+        if self._stream:  # an empty stream runs no pass and counts none
             self._passes = self._metrics.counter("serve.passes")
+            self._offered = self._metrics.counter(
+                "serve.requests.offered")
             self._depth_gauge = self._metrics.gauge("serve.queue.depth")
             self._backpressure = self._metrics.gauge(
                 "serve.queue.backpressure")
+            self._request_pass(self._stream[0].arrival_ps + 1)
         end_ps = self._sim.run()
         self._completions.sort(
             key=lambda record: (record.finish_ps,
@@ -192,10 +214,6 @@ class FleetService:
         )
 
     # -- callbacks (mailbox appends only) ------------------------------
-
-    def _arrive(self, request: RequestSpec) -> None:
-        self._inbox.append(request)
-        self._request_pass(self._sim.now + 1)
 
     def _finish(self, finish_ps: int, board_id: int,
                 generation: int) -> None:
@@ -218,23 +236,35 @@ class FleetService:
         now = self._sim.now
         self._scheduled_passes.discard(now)
         self._passes.inc()
-        self._drain_completions(now)
-        self._admit_due(now)
+        inbox = self._done_inbox
+        if inbox and inbox[0][0] < now:
+            self._drain_completions(now)
+        stream = self._stream
+        if self._cursor < len(stream) \
+                and stream[self._cursor].arrival_ps < now:
+            self._admit_due(now)
         if self._spec.preempt:
             self._preempt_urgent(now)
         self._dispatch(now)
-        self._depth_gauge.high_water(self._admission.depth)
-        self._backpressure.set(1 if self._admission.backpressure else 0)
+        admission = self._admission
+        self._depth_gauge.high_water(admission.depth)
+        self._backpressure.set(1 if admission.backpressure else 0)
 
     def _drain_completions(self, now: int) -> None:
+        """Retire the completions stamped before ``now``.
+
+        Only called when the mailbox head is due, so the prefix cut
+        off here is never empty.
+        """
         inbox = self._done_inbox
         cut = bisect_left(inbox, (now,))
-        if not cut:
-            return
         ready = inbox[:cut]
         del inbox[:cut]
-        latency = self._metrics.histogram("serve.latency_us",
-                                          bounds=LATENCY_BUCKETS_US)
+        latency = self._latency
+        if latency is None:
+            latency = self._latency = self._metrics.histogram(
+                "serve.latency_us", bounds=LATENCY_BUCKETS_US)
+        completed = self._completed
         for finish_ps, board_id, generation in sorted(ready):
             board = self._fleet[board_id]
             service = self._busy.get(board_id)
@@ -247,33 +277,40 @@ class FleetService:
             track = self._tracks.get(board_id)
             if track is not None:
                 track.exit()
+            if completed is None:
+                completed = self._completed = self._metrics.counter(
+                    "serve.requests.completed")
             size = len(service.batch.requests)
+            completed.inc(size)
             for request in service.batch.requests:
                 record = CompletionRecord(
                     request=request, finish_ps=finish_ps,
                     board_id=board_id, warm=service.warm,
                     batch_size=size)
                 self._completions.append(record)
-                self._metrics.counter("serve.requests.completed").inc()
                 latency.observe(record.latency_ps / 1e6)
                 if record.missed:
-                    self._metrics.counter("serve.deadline.missed").inc()
+                    if self._missed is None:
+                        self._missed = self._metrics.counter(
+                            "serve.deadline.missed")
+                    self._missed.inc()
 
     def _admit_due(self, now: int) -> None:
-        inbox = self._inbox
-        cut = 0
-        for request in inbox:
-            if request.arrival_ps >= now:
-                break
-            cut += 1
-        if not cut:
-            return
-        due = inbox[:cut]
-        del inbox[:cut]
-        due.sort(key=lambda request: request.arrival_ps)
-        offered = self._metrics.counter("serve.requests.offered")
-        for request in due:
-            offered.inc()
+        """Offer the stream prefix that arrived before ``now``.
+
+        Only the pass at ``arrival + 1`` of the cursor's request gets
+        here, so the prefix is that request and its equal-arrival
+        followers; the pass for the next arrival is requested.
+        """
+        stream = self._stream
+        start = end = self._cursor
+        while end < len(stream) and stream[end].arrival_ps < now:
+            end += 1
+        self._cursor = end
+        if end < len(stream):
+            self._request_pass(stream[end].arrival_ps + 1)
+        self._offered.inc(end - start)
+        for request in stream[start:end]:
             self._offer(request, now)
 
     def _offer(self, request: RequestSpec, now: int) -> None:
@@ -295,7 +332,8 @@ class FleetService:
         would miss by waiting but can still make it now, and only at
         the expense of a batch with no priority-0 riders.
         """
-        while len(self._busy) >= len(self._fleet):
+        while self._admission.depth \
+                and len(self._busy) >= len(self._fleet):
             urgent = self._scheduler.urgent_head(self._admission)
             if urgent is None:
                 return
@@ -339,7 +377,8 @@ class FleetService:
             self._offer(request, now)
 
     def _dispatch(self, now: int) -> None:
-        while len(self._busy) < len(self._fleet):
+        while self._admission.depth \
+                and len(self._busy) < len(self._fleet):
             batch = self._scheduler.next_batch(self._admission)
             if batch is None:
                 return
@@ -356,18 +395,24 @@ class FleetService:
             self._busy[board.board_id] = _Service(
                 generation=generation, batch=batch, finish_ps=finish,
                 warm=warm, started_ps=now)
-            self._metrics.counter("serve.dispatch.batches").inc()
-            self._metrics.counter(
-                "serve.dispatch.warm" if warm
-                else "serve.dispatch.cold").inc()
+            if self._batches is None:
+                self._batches = self._metrics.counter(
+                    "serve.dispatch.batches")
+                self._inflight = self._metrics.gauge("serve.inflight")
+            self._batches.inc()
+            warmth = self._dispatch_counters.get(warm)
+            if warmth is None:
+                warmth = self._dispatch_counters[warm] = \
+                    self._metrics.counter("serve.dispatch.warm" if warm
+                                          else "serve.dispatch.cold")
+            warmth.inc()
             dispatches = self._board_counters.get(board.board_id)
             if dispatches is None:
                 dispatches = self._board_counters[board.board_id] = \
                     self._metrics.counter(
                         f"serve.board.{board.board_id}.dispatches")
             dispatches.inc()
-            self._metrics.gauge("serve.inflight").high_water(
-                len(self._busy))
+            self._inflight.high_water(len(self._busy))
             track = self._tracks.get(board.board_id)
             if track is not None:
                 track.enter(batch.module, warm=warm,

@@ -15,6 +15,7 @@ deterministically.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Tuple
 
@@ -196,6 +197,10 @@ class ServeSpec:
                                            compare=False, default=())
 
     def __post_init__(self) -> None:
+        for name in ("frequency_mhz", "load", "rate_rps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ServeError(f"{name} must be finite, got {value}")
         if self.boards < 1:
             raise ServeError(f"fleet needs >= 1 board, got {self.boards}")
         if self.controller not in RECONFIGURE_CONTROLLERS:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import UnitError
+
 # One second, millisecond, microsecond, nanosecond in picoseconds.
 PS_PER_S = 1_000_000_000_000
 PS_PER_MS = 1_000_000_000
@@ -39,22 +41,26 @@ class Frequency:
     """A clock frequency, stored exactly in hertz.
 
     Instances are immutable and totally ordered, so frequency envelopes
-    (``freq <= component.max_frequency``) read naturally.
+    (``freq <= component.max_frequency``) read naturally.  A
+    non-finite or non-positive value raises :class:`UnitError`.
     """
 
     hertz: int
 
     def __post_init__(self) -> None:
+        _require_finite_frequency(self.hertz, "Hz")
         if self.hertz <= 0:
-            raise ValueError(f"frequency must be positive, got {self.hertz} Hz")
+            raise UnitError(f"frequency must be positive, got {self.hertz} Hz")
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":
         """Build a frequency from megahertz (the paper's unit)."""
+        _require_finite_frequency(mhz, "MHz")
         return cls(round(mhz * 1_000_000))
 
     @classmethod
     def from_khz(cls, khz: float) -> "Frequency":
+        _require_finite_frequency(khz, "kHz")
         return cls(round(khz * 1_000))
 
     @property
@@ -84,6 +90,16 @@ class Frequency:
 
     def __str__(self) -> str:
         return f"{self.mhz:g} MHz"
+
+
+def _require_finite_frequency(value: float, unit: str) -> None:
+    """Reject NaN and infinities before they reach ``round``.
+
+    ``round`` turns them into a bare ``ValueError`` (NaN) or
+    ``OverflowError`` (infinity) far from the offending input.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UnitError(f"frequency must be finite, got {value} {unit}")
 
 
 @dataclass(frozen=True, order=True)

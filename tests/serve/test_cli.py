@@ -113,6 +113,20 @@ def test_library_error_is_a_one_line_usage_error(capsys):
     assert captured.err == "repro: error: fleet needs >= 1 board, got 0\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--load", "--rate-rps",
+                                  "--frequency-mhz"])
+def test_non_finite_number_is_a_one_line_usage_error(flag, value,
+                                                     capsys):
+    # ``--flag=-inf``: a bare ``-inf`` would parse as an option.
+    assert main(["serve", "run", *SMALL, f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    field = flag[2:].replace("-", "_")
+    assert captured.err == \
+        f"repro: error: {field} must be finite, got {value}\n"
+    assert captured.out == ""
+
+
 def test_library_error_exit_status_from_the_module_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")

@@ -1,13 +1,24 @@
 """Fleet service end-to-end: accounting, affinity, preemption."""
 
+import random
+from dataclasses import replace
+from itertools import groupby
+
 import pytest
 
 from repro.obs import install as obs_install
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import FleetService, ServeSpec, generate_requests
+from repro.serve import (
+    FleetService,
+    ServeSpec,
+    build_report,
+    generate_requests,
+)
 from repro.serve.admission import SHED_INFEASIBLE, SHED_QUEUE_FULL
 from repro.serve.fleet import ServiceTimeTable
+from repro.serve.scheduler import FairScheduler
 from repro.serve.spec import RequestSpec, TenantSpec
+from repro.sim.kernel import Simulator
 
 FAR = 1_000_000_000_000
 
@@ -171,3 +182,125 @@ class TestMetrics:
             == len(outcome.sheds)
         assert counters["serve.dispatch.cold"] >= 1
         assert counters["serve.passes"] > 0
+
+
+class TestStreamOrder:
+    """``run`` takes the stream in any order; ties keep list order."""
+
+    SPEC = ServeSpec(requests=300, load=2.0, seed=9, queue_limit=32,
+                     tenant_limit=16, shed_infeasible=True)
+
+    def stream(self):
+        table = ServiceTimeTable(self.SPEC)
+        return generate_requests(self.SPEC, table.resolved_rate_rps())
+
+    def digest(self, requests):
+        outcome = serve(self.SPEC, requests=requests)
+        assert outcome.requests == tuple(requests)
+        return build_report(outcome).digest
+
+    def test_shuffled_stream_gives_the_same_report(self):
+        requests = self.stream()
+        shuffled = list(requests)
+        random.Random(3).shuffle(shuffled)
+        assert shuffled != requests
+        assert self.digest(shuffled) == self.digest(requests)
+
+    def test_stream_with_equal_arrivals_gives_the_same_report(self):
+        # Snap arrivals to a 20 us grid so requests share instants,
+        # then reorder whole instants.  Each tie keeps its list order,
+        # the order its requests are offered in.
+        grid = 20_000_000
+        requests = [replace(request,
+                            arrival_ps=request.arrival_ps // grid * grid)
+                    for request in self.stream()]
+        groups = [list(group) for _, group in
+                  groupby(requests, key=lambda r: r.arrival_ps)]
+        assert any(len(group) > 1 for group in groups)
+        random.Random(3).shuffle(groups)
+        reordered = [request for group in groups for request in group]
+        assert reordered != requests
+        assert self.digest(reordered) == self.digest(requests)
+
+
+class _CountingObserver:
+    """Kernel observer that counts dispatched events."""
+
+    def __init__(self):
+        self.events = 0
+
+    def run_started(self, time_ps: int, pending):
+        pass
+
+    def event_fired(self, time_ps: int, depth):
+        self.events += 1
+
+    def run_finished(self, time_ps: int, pending):
+        pass
+
+
+class TestEventBudget:
+    """The pump puts passes and completions on the kernel, no more."""
+
+    def test_passes_and_completions_are_the_only_events(
+            self, monkeypatch):
+        tenants = (
+            TenantSpec("bulk", 3.0,
+                       modules=("matrix_mult", "turbo_decoder"),
+                       priority=3),
+            TenantSpec("rt", 1.0, modules=("aes_core",), priority=0,
+                       deadline_us=60.0),
+        )
+        spec = ServeSpec(tenants=tenants, boards=1, requests=200,
+                         load=1.0, seed=5, preempt=True,
+                         shed_infeasible=True)
+        table = ServiceTimeTable(spec)
+        requests = generate_requests(spec, table.resolved_rate_rps())
+
+        sim = Simulator()
+        sim.observer = observer = _CountingObserver()
+        scheduled = []
+        call_at = sim.call_at
+
+        def recording_call_at(time_ps: int, callback):
+            scheduled.append((time_ps, callback))
+            call_at(time_ps, callback)
+
+        sim.call_at = recording_call_at
+        depths = []
+        next_batch = FairScheduler.next_batch
+
+        def depth_checked(scheduler, admission):
+            depths.append(admission.depth)
+            return next_batch(scheduler, admission)
+
+        monkeypatch.setattr(FairScheduler, "next_batch", depth_checked)
+        registry = MetricsRegistry()
+        obs_install(registry=registry)
+        try:
+            service = FleetService(spec, table=table, sim=sim)
+            outcome = service.run(requests)
+        finally:
+            obs_install()
+        counters = registry.snapshot()["counters"]
+        passes = counters["serve.passes"]
+        batches = counters["serve.dispatch.batches"]
+        assert outcome.stale_completions > 0  # preemption happened
+
+        # Every event is a pass or a completion (stale ones included).
+        pass_times = [time_ps for time_ps, callback in scheduled
+                      if callback == service._pass]
+        finish_times = [time_ps for time_ps, callback in scheduled
+                        if callback != service._pass]
+        assert len(finish_times) == batches
+        assert observer.events == passes + batches
+
+        # The scheduler only runs with work queued: one call a batch.
+        assert len(depths) == batches
+        assert min(depths) > 0
+
+        # One pass right after each arrival and completion instant.
+        expected = ({request.arrival_ps + 1 for request in requests}
+                    | {finish_ps + 1 for finish_ps in finish_times})
+        assert sorted(pass_times) == sorted(expected)
+        assert passes == len(expected)

@@ -92,6 +92,13 @@ class TestServeSpec:
         with pytest.raises(ServeError):
             ServeSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["load", "rate_rps",
+                                       "frequency_mhz"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ServeError, match=f"{field} must be finite"):
+            ServeSpec(**{field: float(value)})
+
     def test_rejects_tenant_module_not_in_catalog(self):
         tenants = (TenantSpec("t", 1.0, modules=("missing",)),)
         with pytest.raises(ServeError, match="not in"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError, UnitError
 from repro.units import (
     DataSize,
     Frequency,
@@ -32,6 +33,15 @@ class TestFrequency:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             Frequency(0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        Frequency, Frequency.from_mhz, Frequency.from_khz,
+    ], ids=["hertz", "from_mhz", "from_khz"])
+    def test_non_finite_rejected_with_a_typed_error(self, build, value):
+        with pytest.raises(UnitError, match="must be finite"):
+            build(float(value))
+        assert issubclass(UnitError, ReproError)
 
     def test_ordering(self):
         assert Frequency.from_mhz(100) < Frequency.from_mhz(200)
