@@ -16,7 +16,7 @@ EVENTS = 20_000
 
 
 def _event_storm() -> int:
-    """Slot-free batch scheduling: the kernel's uncancellable path."""
+    """Slot-free ``call_at`` scheduling: the kernel's uncancellable path."""
     sim = Simulator()
     fired = 0
 
@@ -24,7 +24,8 @@ def _event_storm() -> int:
         nonlocal fired
         fired += 1
 
-    sim.schedule_batch((index * 10, bump) for index in range(EVENTS))
+    for index in range(EVENTS):
+        sim.call_at(index * 10, bump)
     sim.run()
     return fired
 

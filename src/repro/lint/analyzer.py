@@ -15,7 +15,8 @@ the project signature, so a warm re-lint of an unchanged tree parses
 nothing at all.
 
 Violations are filtered through each file's suppression index; a
-line-level directive that matches no violation is itself reported
+line-level directive that matches no violation, or any directive that
+names a rule the registry does not know, is itself reported
 (``W001 unused-suppression``), so stale escapes cannot accumulate.
 Results are returned sorted — the analyzer practices the determinism
 it preaches.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.fix import delete_span_fix
 from repro.lint.project import ProjectIndex, module_name_for
@@ -88,9 +89,17 @@ def _select_checkers(select: Optional[Iterable[str]]):
     return [get_rule(rule_id) for rule_id in select]
 
 
+def _known_rules(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
+    """Ids a directive may name, or ``None`` when not judged (``--select``)."""
+    if select is not None:
+        return None
+    return {*all_rules(), SYNTAX_ERROR_RULE, UNUSED_SUPPRESSION_RULE}
+
+
 def _run_checkers(tree: ast.Module, source: str, path: str,
                   checkers, index: Optional[ProjectIndex],
-                  module: Optional[ModuleSummary]) -> List[Violation]:
+                  module: Optional[ModuleSummary],
+                  known_rules: Optional[Set[str]]) -> List[Violation]:
     """Run pass 2 on one parsed file: rules + suppression filtering."""
     raw: List[Violation] = []
     checked_rules = set()
@@ -119,30 +128,56 @@ def _run_checkers(tree: ast.Module, source: str, path: str,
             continue
         kept.append(violation)
 
-    for line, rules in suppressions.line_rules.items():
-        if line in used_lines or UNUSED_SUPPRESSION_RULE in rules:
+    if ALL not in suppressions.file_rules \
+            and UNUSED_SUPPRESSION_RULE not in suppressions.file_rules:
+        kept.extend(_judge_directives(path, suppressions, used_lines,
+                                      checked_rules, known_rules))
+    return sorted(kept)
+
+
+def _judge_directives(path: str, suppressions: SuppressionIndex,
+                      used_lines: Set[int], checked_rules: Set[str],
+                      known_rules: Optional[Set[str]]) -> List[Violation]:
+    """W001 for directives that name unknown rules or suppress nothing.
+
+    ``known_rules`` is ``None`` under ``--select``: a run of a few
+    rules cannot tell a misspelt id from an unselected one.
+    """
+    directives = [(line, rules, True)
+                  for line, rules in suppressions.line_rules.items()]
+    directives += [(line, rules, False)
+                   for line, rules in suppressions.file_lines.items()]
+    found: List[Violation] = []
+    for line, rules, line_scoped in sorted(directives):
+        if UNUSED_SUPPRESSION_RULE in rules:
             continue
-        # Judge a directive only when a rule it names actually ran
-        # (under --select, suppressions for unselected rules are
-        # outside this run's evidence).
-        if ALL not in rules and not (rules & checked_rules):
+        unknown = (sorted(rules - known_rules - {ALL})
+                   if known_rules is not None else [])
+        if unknown:
+            listed = ",".join(unknown)
+            message = (f"unknown rule in suppression: disable={listed} "
+                       f"names no registered rule; delete it")
+            deletable = line_scoped and len(unknown) == len(rules)
+        elif line_scoped and line not in used_lines \
+                and (ALL in rules or rules & checked_rules):
+            # Judge a directive only when a rule it names actually
+            # ran (under --select, suppressions for unselected rules
+            # are outside this run's evidence).
+            listed = ",".join(sorted(rules))
+            message = (f"unused suppression: disable={listed} matches "
+                       f"no violation on this line; delete it")
+            deletable = True
+        else:
             continue
-        if ALL in suppressions.file_rules \
-                or UNUSED_SUPPRESSION_RULE in suppressions.file_rules:
-            continue
-        listed = ",".join(sorted(rules))
-        span = suppressions.line_spans.get(line)
+        span = suppressions.line_spans.get(line) if deletable else None
         fix = None
         if span is not None:
             fix = delete_span_fix(line, span[0], line, span[1],
                                   "delete the unused suppression comment")
-        kept.append(Violation(
-            path=path, line=line, col=0,
-            rule_id=UNUSED_SUPPRESSION_RULE,
-            message=f"unused suppression: disable={listed} matches "
-                    f"no violation on this line; delete it",
-            fix=fix))
-    return sorted(kept)
+        found.append(Violation(path=path, line=line, col=0,
+                               rule_id=UNUSED_SUPPRESSION_RULE,
+                               message=message, fix=fix))
+    return found
 
 
 def lint_source(source: str, path: str = "<string>",
@@ -161,7 +196,8 @@ def lint_source(source: str, path: str = "<string>",
     module = summarize_module(tree, module_name_for(path), path)
     if index is None:
         index = ProjectIndex([module])
-    return _run_checkers(tree, source, path, checkers, index, module)
+    return _run_checkers(tree, source, path, checkers, index, module,
+                         _known_rules(select))
 
 
 def lint_file(path: Path,
@@ -197,6 +233,7 @@ def lint_files(files: Sequence[Path],
     full cross-module context but no full-tree rule run.
     """
     checkers = _select_checkers(select)
+    known_rules = _known_rules(select)
     select_key = ",".join(sorted(select)) if select is not None else "*"
 
     # Pass 1 — summaries (cached by file content).
@@ -257,7 +294,8 @@ def lint_files(files: Sequence[Path],
             if tree is not None:
                 found = _run_checkers(tree, sources[path], path,
                                       checkers, index,
-                                      index.by_path.get(path))
+                                      index.by_path.get(path),
+                                      known_rules)
         if cache is not None:
             cache.put_results(file_keys[path], signature, found)
         violations.extend(found)

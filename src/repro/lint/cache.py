@@ -30,8 +30,9 @@ from repro.lint.summaries import ModuleSummary
 from repro.lint.violations import Violation
 
 #: Bump on any serialized layout change; embedded in every file key.
-#: v2: summaries carry effect data, results carry optional fixes.
-LINT_CACHE_VERSION = 2
+#: v2: results carry optional fixes.  v3: summaries no longer carry
+#: per-function effect data.
+LINT_CACHE_VERSION = 3
 
 _KEY_PREFIX = ("v%d" % LINT_CACHE_VERSION).encode("utf-8") + b"\0"
 

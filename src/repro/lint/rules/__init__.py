@@ -12,8 +12,6 @@ Rule families:
   sweep workers, grids, and digest inputs.
 * ``C5xx`` (:mod:`repro.lint.rules.cachekeys`) — cache-key purity.
 * ``A6xx`` (:mod:`repro.lint.rules.accel`) — accelerator containment.
-* ``R7xx`` (:mod:`repro.lint.rules.races`) — scheduled-callback and
-  sim-process order races, over the effect summaries.
 * ``B8xx`` (:mod:`repro.lint.rules.backend`) — accel backend-contract
   conformance.
 """
@@ -25,7 +23,6 @@ from repro.lint.rules import (  # noqa: F401
     determinism,
     events,
     floats,
-    races,
     sweepsafety,
     units,
     xunits,

@@ -14,7 +14,9 @@ Two scopes, distinguished by comment placement:
       # repro-lint: disable=D102
 
 ``disable=all`` suppresses every rule in the given scope.  Rule lists
-are comma-separated: ``disable=U001,F301``.
+are comma-separated: ``disable=U001,F301``.  A directive that names a
+rule the registry does not know is itself reported (``W001``) on a run
+with every rule selected.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class SuppressionIndex:
     """Parsed suppression directives for one source file."""
 
     file_rules: FrozenSet[str] = frozenset()
+    #: The file-scope directives one by one: ``line -> rules``.
+    file_lines: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     line_rules: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     #: For line-scoped directives whose comment is *only* the
     #: directive: ``line -> (delete_from_col, delete_to_col)``, the
@@ -46,7 +50,7 @@ class SuppressionIndex:
 
     @classmethod
     def from_source(cls, source: str) -> "SuppressionIndex":
-        file_rules: Set[str] = set()
+        file_lines: Dict[int, Set[str]] = {}
         line_rules: Dict[int, Set[str]] = {}
         line_spans: Dict[int, Tuple[int, int]] = {}
         try:
@@ -68,11 +72,13 @@ class SuppressionIndex:
                             token.start[1] + len(token.string),
                         )
                 else:
-                    file_rules.update(rules)
+                    file_lines.setdefault(line_no, set()).update(rules)
         except tokenize.TokenizeError:
             pass  # unparseable files produce a syntax-error violation anyway
         return cls(
-            file_rules=frozenset(file_rules),
+            file_rules=frozenset().union(*file_lines.values()),
+            file_lines={line: frozenset(rules)
+                        for line, rules in file_lines.items()},
             line_rules={line: frozenset(rules)
                         for line, rules in line_rules.items()},
             line_spans=line_spans,

@@ -1,17 +1,17 @@
 """``repro.sanitize`` — dynamic race & determinism sanitizers.
 
-TSan-style runtime checkers for the event kernel, complementing the
-static R701–R704 race rules with ground truth from real executions:
+TSan-style runtime checkers for the event kernel.  The model is a
+single-threaded event loop, so its one race class is same-instant
+order dependence; these checkers are the repository's one oracle for
+it, and they observe it on real executions:
 
 * :class:`RaceSanitizer` (S901/S902) — happens-before race detection
   over attribute accesses of controller/FPGA/core state
   (:mod:`repro.sanitize.race`).
 * :class:`DeterminismSanitizer` (S903) — seeded perturbation of
   same-instant event order with event-stream/output digest diffing
-  (:mod:`repro.sanitize.determinism`).
-* :func:`cross_validate` — classify dynamic vs static findings as
-  confirmed / dynamic-only / static-only
-  (:mod:`repro.sanitize.crossval`).
+  (:mod:`repro.sanitize.determinism`).  It also catches what S901/S902
+  cannot see: order-dependent in-place container mutation.
 
 Quick start::
 
@@ -24,8 +24,8 @@ Quick start::
         print(finding.describe())
 
 CLI: ``python -m repro sanitize [paths...]`` runs scripts under both
-sanitizers and cross-validates against the static analyzer; ``--sanitize``
-on the table/figure and sweep commands wraps those runs the same way.
+sanitizers (``--sarif FILE`` exports the findings); ``--sanitize`` on
+the table/figure and sweep commands wraps those runs the same way.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple
 
-from repro.sanitize.crossval import (
-    CrossValidationReport,
-    RACE_RULE_IDS,
-    SANITIZE_RULE_METADATA,
-    cross_validate,
-    findings_to_violations,
-    format_crossval_text,
-    format_sanitize_sarif,
-    static_race_findings,
-)
 from repro.sanitize.determinism import (
     DeterminismSanitizer,
     DivergenceFinding,
@@ -59,6 +49,7 @@ from repro.sanitize.hb import (
 from repro.sanitize.race import (
     ORDER_DIVERGENCE,
     READ_WRITE_RACE,
+    RULE_TITLES,
     RaceSanitizer,
     SanitizerFinding,
     WRITE_WRITE_RACE,
@@ -70,15 +61,10 @@ __all__ = [
     "happens_before",
     # race sanitizer
     "RaceSanitizer", "SanitizerFinding", "WRITE_WRITE_RACE",
-    "READ_WRITE_RACE", "ORDER_DIVERGENCE", "sanitized",
+    "READ_WRITE_RACE", "ORDER_DIVERGENCE", "RULE_TITLES", "sanitized",
     # determinism sanitizer
     "DeterminismSanitizer", "DivergenceFinding", "RunRecord",
     "StreamRecorder",
-    # cross-validation + reporting
-    "CrossValidationReport", "RACE_RULE_IDS",
-    "SANITIZE_RULE_METADATA", "cross_validate",
-    "findings_to_violations", "format_crossval_text",
-    "format_sanitize_sarif", "static_race_findings",
 ]
 
 

@@ -1,16 +1,16 @@
 """``python -m repro sanitize`` — run scripts under the sanitizers.
 
 Each target script (default: the whole ``examples/`` corpus) is
-executed three ways:
+executed two ways:
 
 1. once under the :class:`~repro.sanitize.race.RaceSanitizer`
    (S901/S902 happens-before race detection);
 2. once unperturbed and once per ``--seeds`` entry under the
    :class:`~repro.sanitize.determinism.DeterminismSanitizer`
-   (S903 order-divergence via digest diffing);
-3. the static R701–R704 rules run over the same files and the
-   findings are cross-validated (confirmed / dynamic-only /
-   static-only).
+   (S903 order-divergence via digest diffing).
+
+``--sarif FILE`` writes the findings as SARIF 2.1.0 through the lint
+reporter, with the S9xx rule table as the rule metadata.
 
 Exit codes follow the lint CLI: 0 clean, 1 unjustified findings,
 2 usage error.  ``--justify FILE`` suppresses known-benign findings
@@ -29,13 +29,10 @@ import sys
 from contextlib import redirect_stdout
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.sanitize.crossval import (
-    cross_validate,
-    format_crossval_text,
-    format_sanitize_sarif,
-    static_race_findings,
-)
+from repro.lint.reporters import format_sarif
+from repro.lint.violations import Violation
 from repro.sanitize.determinism import DeterminismSanitizer
+from repro.sanitize.race import RULE_TITLES
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -57,9 +54,6 @@ def add_sanitize_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-determinism", action="store_true",
         help="skip the perturbed re-runs (race pass only)")
-    parser.add_argument(
-        "--no-crossval", action="store_true",
-        help="skip the static R701-R704 cross-validation")
     parser.add_argument(
         "--justify", default=None, metavar="FILE",
         help="file of justified findings (Type.attr, S901:Type.attr "
@@ -144,12 +138,6 @@ def run_sanitize(args: argparse.Namespace) -> int:
             marker = " [justified]" if finding.justified else ""
             print(f"  {finding.describe()}{marker}")
 
-    if not args.no_crossval:
-        static = static_race_findings(scripts)
-        report = cross_validate(all_findings, static)
-        print()
-        print(format_crossval_text(report))
-
     if args.sarif:
         payload = format_sanitize_sarif(all_findings, len(scripts),
                                         root=root)
@@ -184,6 +172,46 @@ def sanitize_script(script: str, seeds: Sequence[int],
                           name=os.path.basename(script))
         findings.extend(determinism.findings)
     return findings
+
+
+def findings_to_violations(findings: Sequence[Any],
+                           root: Optional[str] = None) -> List[Violation]:
+    """Convert dynamic findings to lint ``Violation`` records.
+
+    Each finding anchors at its first concrete source site (relative
+    to ``root`` when given) so SARIF consumers can annotate the line
+    that scheduled one side of the race; a finding without one (S903)
+    anchors at its scenario.
+    """
+    violations: List[Violation] = []
+    for finding in findings:
+        path, line = "<dynamic>", 1
+        for candidate_path, candidate_line in finding.sites:
+            if candidate_path and not candidate_path.startswith("<"):
+                path, line = candidate_path, candidate_line
+                break
+        else:
+            scenario = getattr(finding, "scenario", None)
+            if scenario:
+                path = scenario
+        if root is not None and os.path.isabs(path):
+            try:
+                path = os.path.relpath(path, root)
+            except ValueError:
+                pass
+        violations.append(Violation(path=path, line=line, col=0,
+                                    rule_id=finding.rule_id,
+                                    message=finding.describe()))
+    return violations
+
+
+def format_sanitize_sarif(findings: Sequence[Any],
+                          files_checked: int,
+                          root: Optional[str] = None) -> str:
+    """SARIF 2.1.0 for dynamic findings (shared lint reporter)."""
+    return format_sarif(findings_to_violations(findings, root=root),
+                        files_checked, extra_rules=RULE_TITLES,
+                        tool_name="repro.sanitize")
 
 
 def run_sanitized_command(command: Any, args: argparse.Namespace,

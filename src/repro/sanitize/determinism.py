@@ -4,8 +4,8 @@ The kernel's FIFO tie-break makes every run reproducible, but
 reproducible is not the same as *order-independent*: a model whose
 output depends on which of two same-instant, happens-before-unordered
 callbacks fires first works today and breaks the moment an unrelated
-change shifts a sequence number.  The static R702 rule approximates
-this from source text; this module tests it on a real execution:
+change shifts a sequence number.  This module tests for that on a
+real execution:
 
 1. run the scenario unperturbed, recording an incremental digest of
    the event stream (per-instant sorted task-label multisets, chained
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sanitize.hb import HBTracker, Site, Task, TrackerListener
-from repro.sanitize.race import ORDER_DIVERGENCE
+from repro.sanitize.race import ORDER_DIVERGENCE, RULE_TITLES
 from repro.sim import kernel as _kernel
 
 #: Memory addresses in reprs vary per process; normalise them away
@@ -102,12 +102,15 @@ class DivergenceFinding:
     rule_id: str = ORDER_DIVERGENCE
     count: int = 1
     justified: bool = False
-    crossval_sites: Tuple[Site, ...] = ()
+    #: Always empty: a divergence has no access site, so reports
+    #: anchor it at the scenario instead.
+    sites: Tuple[Site, ...] = ()
 
     def describe(self) -> str:
         where = (f"first divergent instant t={self.time_ps} ps"
                  if self.time_ps >= 0 else "output only")
-        return (f"{self.rule_id} dynamic-order-divergence: scenario "
+        title = RULE_TITLES[self.rule_id][0]
+        return (f"{self.rule_id} {title}: scenario "
                 f"{self.scenario!r} diverges under perturbation seed "
                 f"{self.seed} ({where}) — {self.detail}")
 

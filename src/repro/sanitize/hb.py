@@ -1,16 +1,15 @@
 """Vector-clock happens-before tracking over the simulation kernel.
 
-The static race rules (R701–R704) approximate ordering from source
-text; this module observes a *real* execution and derives the exact
+This module observes a *real* execution and derives the exact
 happens-before relation the kernel guarantees:
 
 * **Time barrier.**  Every event that completed at an earlier
   simulation instant happens-before every event at a later one — the
   kernel's ``(time, sequence)`` total order makes this unconditional.
 * **Scheduling edges.**  The task that calls ``at`` / ``after`` /
-  ``call_at`` / ``call_after`` / ``schedule_batch`` happens-before the
-  scheduled callback (including same-instant children, which the
-  kernel dispatches after their scheduler by construction).
+  ``call_at`` / ``call_after`` happens-before the scheduled callback
+  (including same-instant children, which the kernel dispatches after
+  their scheduler by construction).
 * **Synchronization edges.**  The task that registered an
   :class:`~repro.sim.signal.Event` waiter or
   :class:`~repro.sim.signal.Signal` observer happens-before the
@@ -115,11 +114,11 @@ class Task:
         self.tid = -1  # assigned when the task begins executing
         self.label = label
         self.site = site
-        #: Where the work originated for cross-validation purposes —
-        #: a process resume keeps pointing at its ``Process(...)``
-        #: spawn site even though the kernel saw an anonymous lambda.
+        #: Where the work originated for reports — a process resume
+        #: keeps pointing at its ``Process(...)`` spawn site even
+        #: though the kernel saw an anonymous lambda.
         self.origin_site = site
-        self.kind = kind  # "at" | "call_at" | "batch" | "deliver"
+        self.kind = kind  # "at" | "call_at" | "deliver"
         self.time_ps = -1  # assigned when the task begins executing
         self.parent = parent
         self.joins = joins
@@ -247,8 +246,7 @@ class HBTracker:
 
     def on_process_spawn(self, process: Any) -> None:
         # Remember the spawn site so every resume of this process can
-        # point back at the ``Process(...)`` call the static R703
-        # rule reports on.
+        # point back at its ``Process(...)`` call.
         self._registrations[(id(process), id(process))] = (
             self.current, caller_site())
 

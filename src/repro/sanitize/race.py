@@ -52,10 +52,21 @@ WRITE_WRITE_RACE = "S901"
 READ_WRITE_RACE = "S902"
 ORDER_DIVERGENCE = "S903"  # reported by determinism.py, shares the table
 
-RULE_TITLES = {
-    WRITE_WRITE_RACE: "dynamic-write-write-race",
-    READ_WRITE_RACE: "dynamic-read-write-race",
-    ORDER_DIVERGENCE: "dynamic-order-divergence",
+#: The S9xx rule table: id -> (name, one-line description).  Findings
+#: print the name; SARIF reports carry both.
+RULE_TITLES: Dict[str, Tuple[str, str]] = {
+    WRITE_WRITE_RACE: (
+        "dynamic-write-write-race",
+        "two happens-before-unordered same-instant callbacks both "
+        "wrote the attribute"),
+    READ_WRITE_RACE: (
+        "dynamic-read-write-race",
+        "a read and a write of the attribute in the same instant are "
+        "not ordered by happens-before"),
+    ORDER_DIVERGENCE: (
+        "dynamic-order-divergence",
+        "run output diverged under a legal seeded perturbation of "
+        "same-instant event order"),
 }
 
 #: Per (object, attr) instant cap — beyond this the list stops growing
@@ -103,9 +114,9 @@ class SanitizerFinding:
     second: AccessContext
     count: int = 1
     justified: bool = False
-    #: Sites a static R701–R704 violation could have reported on —
-    #: the schedule/spawn sites of both tasks (crossval matches here).
-    crossval_sites: Tuple[Site, ...] = field(default=())
+    #: The schedule/spawn sites of both tasks; reports anchor the
+    #: finding at the first one in a real source file.
+    sites: Tuple[Site, ...] = field(default=())
 
     @property
     def key(self) -> Tuple[Any, ...]:
@@ -114,7 +125,7 @@ class SanitizerFinding:
                 self.second.kind, self.second.access_site)
 
     def describe(self) -> str:
-        return (f"{self.rule_id} {RULE_TITLES[self.rule_id]}: "
+        return (f"{self.rule_id} {RULE_TITLES[self.rule_id][0]}: "
                 f"{self.object_type}.{self.attr} at t={self.time_ps} ps "
                 f"(x{self.count}) — {self.first.describe()} vs "
                 f"{self.second.describe()}")
@@ -362,8 +373,8 @@ class RaceSanitizer:
             time_ps=time_ps,
             first=_context(first),
             second=_context(second),
-            crossval_sites=(first.task.origin_site, first.task.site,
-                            second.task.origin_site, second.task.site),
+            sites=(first.task.origin_site, first.task.site,
+                   second.task.origin_site, second.task.site),
         )
         existing = self._findings_by_key.get(finding.key)
         if existing is not None:

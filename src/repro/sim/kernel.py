@@ -12,11 +12,11 @@ Two scheduling surfaces share the queue:
 
 * :meth:`Simulator.at` / :meth:`Simulator.after` return a
   :class:`ScheduledEvent` handle that supports cancellation.
-* :meth:`Simulator.call_at` / :meth:`Simulator.call_after` /
-  :meth:`Simulator.schedule_batch` are the slot-free fast path: no
-  handle is allocated, the callback goes straight onto the heap.
-  Hot paths that never cancel (process delays, clock ticks, event
-  storms) use these to skip one object allocation per event.
+* :meth:`Simulator.call_at` / :meth:`Simulator.call_after` are the
+  slot-free fast path: no handle is allocated, the callback goes
+  straight onto the heap.  Hot paths that never cancel (process
+  delays, clock ticks, event storms) use these to skip one object
+  allocation per event.
 
 Cancelled handles stay in the heap until their timestamp is reached,
 but the kernel counts them and lazily compacts the heap when more
@@ -33,7 +33,7 @@ both the plain and the observed run.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -178,56 +178,6 @@ class Simulator:
         if self._running and time_ps == self._now:
             high |= 1 << 32
         return (high << 40) | sequence
-
-    def schedule_batch(self,
-                       events: Iterable[Tuple[int, Callback]]) -> int:
-        """Bulk slot-free scheduling of ``(time_ps, callback)`` pairs.
-
-        Pairs are enqueued in iteration order (ties fire in that
-        order); returns the number of events scheduled.  The batch is
-        materialised in one pass and the heap rebuilt with a single
-        O(n) ``heapify`` — no per-event push, handle allocation, or
-        method dispatch — the cheapest way to pre-seed a large event
-        storm.
-        """
-        if self.sanitizer is not None:
-            sanitizer = self.sanitizer
-            events = [(time_ps,
-                       sanitizer.on_schedule(self, time_ps, callback,
-                                             "batch"))
-                      for time_ps, callback in events]
-        if self._perturb is None:
-            entries: List[_Entry] = [
-                (time_ps, sequence, None, callback)
-                for sequence, (time_ps, callback)
-                in enumerate(events, self._sequence)
-            ]
-        else:
-            key = self._perturbed_key
-            entries = [
-                (time_ps, key(time_ps, sequence), None, callback)
-                for sequence, (time_ps, callback)
-                in enumerate(events, self._sequence)
-            ]
-        if not entries:
-            return 0
-        earliest = min(entries)[0]
-        if earliest < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={earliest} ps: simulation time "
-                f"is already {self._now} ps"
-            )
-        self._sequence += len(entries)
-        queue = self._queue
-        if queue or self._running:
-            # Mid-run the drain loop holds an alias to the queue list,
-            # so it must be extended in place, never rebound.
-            queue.extend(entries)
-            heapq.heapify(queue)
-        else:
-            self._queue = entries
-            heapq.heapify(self._queue)
-        return len(entries)
 
     def run(self, until_ps: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until_ps`` is reached.

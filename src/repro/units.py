@@ -48,19 +48,19 @@ class Frequency:
     hertz: int
 
     def __post_init__(self) -> None:
-        _require_finite_frequency(self.hertz, "Hz")
+        _require_finite("frequency", self.hertz, "Hz")
         if self.hertz <= 0:
             raise UnitError(f"frequency must be positive, got {self.hertz} Hz")
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":
         """Build a frequency from megahertz (the paper's unit)."""
-        _require_finite_frequency(mhz, "MHz")
+        _require_finite("frequency", mhz, "MHz")
         return cls(round(mhz * 1_000_000))
 
     @classmethod
     def from_khz(cls, khz: float) -> "Frequency":
-        _require_finite_frequency(khz, "kHz")
+        _require_finite("frequency", khz, "kHz")
         return cls(round(khz * 1_000))
 
     @property
@@ -92,32 +92,38 @@ class Frequency:
         return f"{self.mhz:g} MHz"
 
 
-def _require_finite_frequency(value: float, unit: str) -> None:
+def _require_finite(quantity: str, value: float, unit: str) -> None:
     """Reject NaN and infinities before they reach ``round``.
 
     ``round`` turns them into a bare ``ValueError`` (NaN) or
     ``OverflowError`` (infinity) far from the offending input.
     """
     if isinstance(value, float) and not math.isfinite(value):
-        raise UnitError(f"frequency must be finite, got {value} {unit}")
+        raise UnitError(f"{quantity} must be finite, got {value} {unit}")
 
 
 @dataclass(frozen=True, order=True)
 class DataSize:
-    """A payload size in bytes, with the binary-KB convention."""
+    """A payload size in bytes, with the binary-KB convention.
+
+    A negative size, or NaN or an infinity given to ``from_kb`` /
+    ``from_mb``, raises :class:`UnitError`.
+    """
 
     bytes: int
 
     def __post_init__(self) -> None:
         if self.bytes < 0:
-            raise ValueError(f"size must be non-negative, got {self.bytes}")
+            raise UnitError(f"size must be non-negative, got {self.bytes}")
 
     @classmethod
     def from_kb(cls, kb: float) -> "DataSize":
+        _require_finite("size", kb, "KB")
         return cls(round(kb * BYTES_PER_KB))
 
     @classmethod
     def from_mb(cls, mb: float) -> "DataSize":
+        _require_finite("size", mb, "MB")
         return cls(round(mb * BYTES_PER_MB))
 
     @classmethod

@@ -44,10 +44,6 @@ def test_each_rule_fixture_exits_one(capsys):
         "C502": "c502_repr_digest_input.py",
         "C503": "c503_unversioned_key.py",
         "A601": "a601_numpy_import.py",
-        "R701": "race_pkg/racer.py",
-        "R702": "race_pkg/racer.py",
-        "R703": ("race_pkg/racer.py", "race_pkg/shared.py"),
-        "R704": ("race_pkg/racer.py", "race_pkg/shared.py"),
         "B801": ("accel_drift_pkg/__init__.py",
                  "accel_drift_pkg/pure.py",
                  "accel_drift_pkg/numpy_backend.py"),
@@ -144,3 +140,26 @@ def test_unused_suppression_reported(capsys):
     assert "W001" in out
     assert "disable=D102" in out
     assert "D101" not in out  # the used suppression stays silent
+
+
+def test_suppression_naming_an_unknown_rule_reported(tmp_path, capsys):
+    target = tmp_path / "stale.py"
+    target.write_text("# repro-lint: disable=R701\n"
+                      "x = 1  # repro-lint: disable=R999\n"
+                      "def f(r):\n"
+                      "    return r.energy_uj == 0.66"
+                      "  # repro-lint: disable=F301,R998\n")
+    assert main(["lint", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert [line.split(": ", 1)[0].rsplit(":", 2)[1:]
+            for line in out.splitlines() if " W001 " in line] == \
+        [["1", "0"], ["2", "0"], ["4", "0"]]
+    assert "disable=R701 names no registered rule" in out
+    assert "disable=R999 names no registered rule" in out
+    # The known id on line 4 still suppresses its finding.
+    assert "disable=R998 names no registered rule" in out
+    assert " F301 " not in out
+    # Under --select the run cannot tell a misspelt id from an
+    # unselected one, so it judges nothing.
+    assert main(["lint", str(target), "--select", "F301"]) == 0
+    assert main(["lint", str(target), "--select", "R999"]) == 2

@@ -105,9 +105,12 @@ def test_no_scripts_anywhere_is_a_usage_error(tmp_path):
     assert result.returncode == 2
 
 
-def test_crossval_section_prints_by_default(clean_script, tmp_path):
+def test_report_is_the_sanitizers_alone(clean_script, tmp_path):
     result = run_cli(str(clean_script), cwd=tmp_path)
-    assert "cross-validation" in result.stdout
-    no_crossval = run_cli(str(clean_script), "--no-crossval",
-                          cwd=tmp_path)
-    assert "cross-validation" not in no_crossval.stdout
+    assert result.stdout.splitlines() == [
+        "sanitize clean_scenario.py: clean",
+        "",
+        "sanitize: 0 unjustified findings across 1 scenario(s)"]
+    retired = run_cli(str(clean_script), "--no-crossval", cwd=tmp_path)
+    assert retired.returncode == 2
+    assert "unrecognized arguments: --no-crossval" in retired.stderr

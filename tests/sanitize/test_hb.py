@@ -104,7 +104,7 @@ def test_sibling_schedules_stay_unordered(sim):
     assert not happens_before(second, first)
 
 
-def test_batch_entries_inherit_the_scheduler_edge(sim):
+def test_same_instant_siblings_inherit_the_scheduler_edge(sim):
     tracker, recorder = tracked(sim)
 
     def child_a():
@@ -114,7 +114,8 @@ def test_batch_entries_inherit_the_scheduler_edge(sim):
         pass
 
     def parent():
-        sim.schedule_batch([(sim.now, child_a), (sim.now, child_b)])
+        sim.call_at(sim.now, child_a)
+        sim.call_at(sim.now, child_b)
 
     sim.call_at(50, parent)
     sim.run()
@@ -123,7 +124,7 @@ def test_batch_entries_inherit_the_scheduler_edge(sim):
     children = [t for t in recorder.tasks if t is not parent_task]
     assert len(children) == 2
     assert all(happens_before(parent_task, child) for child in children)
-    # the two batch entries have no edge between each other
+    # the two siblings have no edge between each other
     assert not happens_before(children[0], children[1])
 
 

@@ -1,9 +1,5 @@
 """Kernel event-queue semantics."""
 
-# These tests schedule callbacks that append to shared lists on
-# purpose: the deterministic tie-break order is the thing under test.
-# repro-lint: disable=R701
-
 import pytest
 
 from repro.errors import SimulationError
@@ -194,54 +190,12 @@ def test_call_at_past_raises(sim):
         sim.call_after(-1, lambda: None)
 
 
-def test_schedule_batch_matches_serial_scheduling(sim):
-    order = []
-    count = sim.schedule_batch(
-        (100 - index, lambda i=index: order.append(i))
-        for index in range(100))
-    assert count == 100
-    assert sim.pending_events == 100
-    sim.run()
-    assert order == list(reversed(range(100)))
-
-
-def test_schedule_batch_ties_fire_in_batch_order(sim):
-    order = []
-    sim.schedule_batch((50, lambda label=label: order.append(label))
-                       for label in "abcde")
-    sim.run()
-    assert order == list("abcde")
-
-
-def test_schedule_batch_interleaves_with_handles(sim):
-    order = []
-    sim.at(15, lambda: order.append("handle"))
-    sim.schedule_batch([(10, lambda: order.append("early")),
-                        (20, lambda: order.append("late"))])
-    sim.run()
-    assert order == ["early", "handle", "late"]
-
-
-def test_schedule_batch_rejects_past_times(sim):
-    sim.at(100, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(100, lambda: None), (50, lambda: None)])
-    # A failed batch must not corrupt the queue.
-    assert sim.pending_events == 0
-
-
-def test_schedule_batch_empty_is_noop(sim):
-    assert sim.schedule_batch([]) == 0
-    assert sim.pending_events == 0
-
-
 def test_events_scheduled_mid_run_interleave_with_drain(sim):
     """New events land on the heap while run() drains its stack; the
     (time, seq) order must stay exact across the two tiers."""
     order = []
-    sim.schedule_batch((10 * index, lambda i=index: order.append(i))
-                       for i in [0] for index in range(1, 6))
+    for index in range(1, 6):
+        sim.call_at(10 * index, lambda i=index: order.append(i))
 
     def wedge():
         order.append("wedge-now")
@@ -346,17 +300,14 @@ def test_pending_events_counts_bucket_mid_run(sim):
     assert depths == [2, 1, 0]
 
 
-def test_schedule_batch_partitions_same_instant_mid_run(sim):
+def test_call_at_partitions_same_instant_mid_run(sim):
     order = []
 
     def storm():
         order.append("head")
-        count = sim.schedule_batch([
-            (10, lambda: order.append("bucket-a")),
-            (25, lambda: order.append("heap")),
-            (10, lambda: order.append("bucket-b")),
-        ])
-        assert count == 3
+        sim.call_at(10, lambda: order.append("bucket-a"))
+        sim.call_at(25, lambda: order.append("heap"))
+        sim.call_at(10, lambda: order.append("bucket-b"))
         assert sim.pending_events == 3
 
     sim.at(10, storm)

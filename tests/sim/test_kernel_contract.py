@@ -10,10 +10,6 @@ Two properties everything above the kernel relies on:
   for that instant when the instant's dispatch began.
 """
 
-# Shared-list appends from many callbacks are the point here: the
-# properties assert the kernel's total ordering of exactly such sites.
-# repro-lint: disable=R701
-
 import random
 
 import pytest
@@ -21,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
 
-KINDS = ("at", "after", "call_at", "call_after", "batch")
+KINDS = ("at", "after", "call_at", "call_after", "late_call_at")
 
 #: One node of a schedule program: ``(parent, delta_ps, kind, cancel)``.
 #: Roots (``parent`` None) are scheduled before the first ``run`` at
@@ -75,7 +71,7 @@ def _execute(program, observed):
         children.setdefault(parent, []).append(index)
 
     def schedule(indices, base_ps: int) -> None:
-        batch = []
+        late = []
         for index in indices:
             _parent, delta, kind, _cancel = nodes[index]
             callback = lambda index=index: fire(index)
@@ -89,9 +85,11 @@ def _execute(program, observed):
             elif kind == "call_after":
                 sim.call_after(base_ps + delta - sim.now, callback)
             else:
-                batch.append((base_ps + delta, callback))
-        if batch:
-            sim.schedule_batch(batch)
+                late.append((base_ps + delta, callback))
+        # ``late_call_at`` nodes go through ``call_at`` after the rest
+        # of their sibling group, so sequence numbers interleave kinds.
+        for time_ps, callback in late:
+            sim.call_at(time_ps, callback)
 
     def fire(index):
         order.append((index, sim.now))
@@ -147,9 +145,8 @@ def test_perturbed_children_follow_instant_queue(seed):
         order.append(("queued", index))
         sim.at(sim.now, lambda: child((index, "at")))
         sim.call_at(sim.now, lambda: child((index, "call_at")))
-        sim.schedule_batch([(sim.now, lambda: child((index, "batch"))),
-                            (sim.now + 1, lambda: order.append(
-                                ("later", index)))])
+        sim.call_after(0, lambda: child((index, "call_after")))
+        sim.call_after(1, lambda: order.append(("later", index)))
 
     def early():
         # Scheduled from an earlier instant, so queued for t=10 before
@@ -168,7 +165,7 @@ def test_perturbed_children_follow_instant_queue(seed):
     # Scheduler-before-scheduled: every grandchild follows its child.
     position = {entry: at for at, entry in enumerate(order)}
     for index in range(8):
-        for surface in ("at", "call_at", "batch"):
+        for surface in ("at", "call_at", "call_after"):
             label = (index, surface)
             assert position[("child", label)] < \
                 position[("grandchild", label)]

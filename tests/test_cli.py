@@ -25,6 +25,23 @@ def test_table3_with_size(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_table3_non_finite_size_is_a_one_line_usage_error(value, capsys):
+    # ``--size-kb=-inf``: a bare ``-inf`` would parse as an option.
+    assert main(["table3", f"--size-kb={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"repro: error: size must be finite, got {value} KB\n"
+    assert captured.out == ""
+
+
+def test_table3_negative_size_is_a_one_line_usage_error(capsys):
+    assert main(["table3", "--size-kb=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "repro: error: size must be non-negative, got -1024\n"
+
+
 def test_fig7(capsys):
     assert main(["fig7"]) == 0
     out = capsys.readouterr().out

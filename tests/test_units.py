@@ -80,8 +80,15 @@ class TestDataSize:
         assert DataSize.from_words(10).bytes == 40
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnitError, match="size must be non-negative"):
             DataSize(-1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [DataSize.from_kb, DataSize.from_mb],
+                             ids=["from_kb", "from_mb"])
+    def test_non_finite_rejected_with_a_typed_error(self, build, value):
+        with pytest.raises(UnitError, match="size must be finite"):
+            build(float(value))
 
     def test_add_sub(self):
         assert (DataSize(100) + DataSize(28)).bytes == 128
